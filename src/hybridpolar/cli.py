@@ -130,6 +130,9 @@ def parse_config(path) -> SimConfig:
     pin = merged["pin_coefficients"].lower()
     if pin not in ("true", "false", "0", "1"):
         raise ValueError(f"pin_coefficients must be boolean, got {pin!r}")
+    for key, low in (("max_frames", 1), ("target_errors", 0), ("list_size", 1)):
+        if int(merged[key], 0) < low:
+            raise ValueError(f"config {path}: {key} must be >= {low}, got {merged[key]}")
     return SimConfig(
         scheme=merged["scheme"],
         n=int(merged["n"], 0),
@@ -197,6 +200,8 @@ def simulate_point(spec: CodeSpec, ebn0_db: float, list_size: int, seed: int,
     target_errors (a target of 0 disables the error stop), so emitted
     counts never depend on the internal batch size.
     """
+    if max_frames < 1:
+        raise ValueError(f"max_frames must be >= 1, got {max_frames}")
     t0 = time.perf_counter()
     tables = spec.field_tables()
     n2 = spec.n // spec.t

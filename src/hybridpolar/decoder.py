@@ -15,6 +15,8 @@ Decoding a hybrid frame has four parts:
 4. decided bits update the path metric, list paths branch two ways on
    every unfrozen bit and are pruned back to the L smallest metrics,
    and the re-packed symbol is fed back into the Stage-2 recursion.
+   No path copies its decisions: each is stored once with its parent
+   pointers, and one backtrack at the end reads out every survivor.
 
 The same machinery with scalar LLRs and the binary min-sum pair f/g
 decodes the baseline polar-repetition scheme.
@@ -241,6 +243,8 @@ class _PathState:
     Paths live on axis 1 of every array.  Whenever the list branches or
     is pruned, the parent-index map is appended to ``origins`` so that
     recursion frames holding older arrays can re-gather them lazily.
+    Each unfrozen decision is appended to ``trace`` as (bit index, bits,
+    parent map or None), the Tal-Vardy path memory that _finalize walks back.
     """
 
     def __init__(self, n_frames: int, n: int, list_size: int, frozen_mask: np.ndarray,
@@ -251,7 +255,7 @@ class _PathState:
         self.mode = mode
         self.frozen_mask = frozen_mask
         self.pm = np.zeros((n_frames, 1))
-        self.u_hat = np.zeros((n_frames, 1, n), dtype=np.int8)
+        self.trace: list[tuple] = []
         self.origins: list[np.ndarray] = []
         self.leaf_cursor = 0
         self.genie_u = genie_u
@@ -270,7 +274,7 @@ class _PathState:
             return None
         idx = self.origins[epoch]
         for later in self.origins[epoch + 1:]:
-            idx = np.take_along_axis(idx, later, axis=1)
+            idx = _gather_paths(idx, later)
         return idx
 
     def decide_bit(self, s_b: np.ndarray, global_idx: int):
@@ -288,13 +292,12 @@ class _PathState:
             truth = self.genie_u[:, global_idx].astype(np.int64)
             wrong = ((s_b[:, 0] < 0).astype(np.int64) != truth) & (self.first_error < 0)
             self.first_error[wrong] = global_idx
-            self.u_hat[:, 0, global_idx] = truth.astype(np.int8)
             return truth[:, None], None
         if self.mode == "sc":
             # Hard sign rule; the decision never contradicts its own LLR,
             # so the metric stays at zero.
             bits = (s_b < 0).astype(np.int64)
-            self.u_hat[:, :, global_idx] = bits.astype(np.int8)
+            self.trace.append((global_idx, bits, None))
             return bits, None
         # List mode: branch every path two ways, keep the L smallest metrics.
         a = self.paths
@@ -309,16 +312,16 @@ class _PathState:
         parent = keep >> 1
         bits = keep & 1
         self.pm = np.take_along_axis(pm2, keep, axis=1)
-        self.u_hat = np.take_along_axis(self.u_hat, parent[:, :, None], axis=1)
-        self.u_hat[:, :, global_idx] = bits.astype(np.int8)
+        self.trace.append((global_idx, bits, parent))
         self.origins.append(parent)
         return bits, parent
 
 
 def _gather_paths(arr: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Select rows of the path axis (axis 1) by parent index."""
-    idx = origin.reshape(origin.shape + (1,) * (arr.ndim - 2))
-    return np.take_along_axis(arr, idx, axis=1)
+    """Select rows of the path axis (axis 1) by parent index, as one flat take."""
+    f, a = arr.shape[:2]
+    flat = origin + (a * np.arange(f))[:, None]
+    return np.take(arr.reshape(f * a, *arr.shape[2:]), flat, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +391,7 @@ class _SymbolEngine:
             bits, origin = state.decide_bit(s_b, i * self.t + j)
             if origin is not None:
                 s = _gather_paths(s, origin)
-                prefix = np.take_along_axis(prefix, origin, axis=1)
+                prefix = _gather_paths(prefix, origin)
             prefix = prefix | (bits << j)
         return self.block_map[prefix]
 
@@ -446,10 +449,16 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
               return_paths: bool) -> BatchDecodeResult:
     f = state.F
     pm = state.pm
+    # Walk the decision trace back once, from the final paths to bit 0.
+    u_all = np.zeros((f, state.paths, state.n), dtype=np.int8)
+    idx = np.broadcast_to(np.arange(state.paths), pm.shape)
+    for global_idx, bits, parent in reversed(state.trace):
+        u_all[:, :, global_idx] = _gather_paths(bits, idx)
+        idx = idx if parent is None else _gather_paths(parent, idx)
     order = np.argsort(pm, axis=1, kind="stable")
     unfrozen = spec.unfrozen_indices()
     if spec.p > 0:
-        payload = state.u_hat[:, :, unfrozen]
+        payload = u_all[:, :, unfrozen]
         m = crc_remainder_matrix(spec.k + spec.p, spec.crc_poly, spec.p)
         synd = payload.astype(np.int64) @ m.astype(np.int64) % 2
         pass_mask = ~synd.any(axis=2)
@@ -464,11 +473,11 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
     rows = np.arange(f)
     chosen = order[rows, rank]
     return BatchDecodeResult(
-        u_hat=state.u_hat[rows, chosen],
+        u_hat=u_all[rows, chosen],
         crc_pass=pass_mask[rows, chosen],
         chosen_pm=pm[rows, chosen],
         list_rank=rank,
-        all_u=state.u_hat if return_paths else None,
+        all_u=u_all if return_paths else None,
         all_pm=pm if return_paths else None,
     )
 

@@ -187,6 +187,36 @@ def test_simulate_baseline_scheme(tmp_path):
     assert out.read_text().strip().splitlines()[1].split(",")[12] == "0"
 
 
+@pytest.mark.parametrize("max_frames", [0, -3])
+def test_simulate_point_rejects_nonpositive_max_frames(tmp_path, max_frames):
+    text = edit_config(BASE_CONFIG, scheme="polar_repetition", n=32, t=1)
+    spec = cli.spec_from_config(cli.parse_config(write_config(tmp_path, text)))
+    with pytest.raises(ValueError, match="max_frames"):
+        cli.simulate_point(spec, 2.0, 1, 1, max_frames=max_frames, target_errors=0)
+
+
+@pytest.mark.parametrize("key,value", [("max_frames", 0), ("max_frames", -1),
+                                       ("target_errors", -1), ("list_size", 0),
+                                       ("list_size", -4)])
+def test_out_of_range_counts_rejected(tmp_path, constructed, capsys, key, value):
+    cfg_path, spec_path = constructed
+    cfg_bad = write_config(tmp_path, edit_config(BASE_CONFIG, **{key: value}), "bad.cfg")
+    with pytest.raises(ValueError, match=key):
+        cli.parse_config(cfg_bad)
+    for argv in (["simulate", str(cfg_bad), "--spec", str(spec_path)],
+                 ["construct", str(cfg_bad), "-o", str(tmp_path / "x.spec")]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and err.count("\n") == 1
+
+
+def test_roundtrip_zero_frames_is_diagnosed(constructed, capsys):
+    cfg_path, spec_path = constructed
+    assert cli.main(["roundtrip", "--spec", str(spec_path), "--frames", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # --- complexity ------------------------------------------------------------------------
 
 def test_complexity_all_table1(capsys):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hybridpolar import channel as ch
 from hybridpolar import encoder as enc
 from hybridpolar.codespec import CodeSpec, default_frozen_set
-from hybridpolar.decoder import (_PathState, baseline_decode,
+from hybridpolar.decoder import (_finalize, _gather_paths, _PathState, baseline_decode,
                                  baseline_decode_batch, baseline_sc_decode,
                                  combine_baseline, combine_repetitions,
                                  genie_first_errors, permute_llr, pm_update,
@@ -276,6 +278,15 @@ def test_pruning_keeps_l_smallest_with_stable_ties():
     state.decide_bit(np.array([[1.0]]), 0)            # -> pms [0, 1]
     state.decide_bit(np.array([[0.5, 0.5]]), 1)       # -> candidates [0,.5,1,1.5]
     assert np.allclose(state.pm, [[0.0, 0.5]])
+    # Survivors (u0, u1) = (0, 0) and (0, 1).  Branching bit 2 on a tie
+    # keeps both children of path 0 and drops path 1, so u1 = 1 must not
+    # reach either backtracked vector.
+    state.decide_bit(np.array([[0.0, -3.0]]), 2)      # -> candidates [0,0,3.5,.5]
+    assert np.allclose(state.pm, [[0.0, 0.0]])
+    spec = spec_for(scheme="polar_repetition", n=4, k=4, t=1, r=1)
+    out = _finalize(spec, state, crc_on=False, return_paths=True)
+    assert out.all_u.tolist() == [[[0, 0, 0, 0], [0, 0, 1, 0]]]
+    assert out.u_hat.tolist() == [[0, 0, 0, 0]]
     # Tie case: equal penalties keep the lower path index.
     state2 = _PathState(1, 4, 2, np.zeros(4, dtype=bool), "list")
     state2.decide_bit(np.array([[0.0]]), 0)           # pms [0, 0] tie
@@ -283,6 +294,31 @@ def test_pruning_keeps_l_smallest_with_stable_ties():
     assert np.allclose(state2.pm, 0.0)
     # survivors are the first two children in index order
     assert list(state2.origins[-1][0]) == [0, 0]
+    spec = spec_for(scheme="polar_repetition", n=4, k=4, t=1, r=1)
+    out = _finalize(spec, state2, crc_on=False, return_paths=True)
+    assert out.all_u.tolist() == [[[0, 0, 0, 0], [0, 1, 0, 0]]]
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 5, 7), (3, 5, 4, 6)])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "swapped"])
+def test_gather_paths_matches_take_along_axis(shape, layout):
+    rng = np.random.default_rng(20)
+    f, a = shape[:2]
+    views = {
+        "contiguous": rng.normal(size=shape),
+        "strided": rng.normal(size=(f, 2 * a) + shape[2:])[:, ::2],
+        "swapped": rng.normal(size=(a, f) + shape[2:]).swapaxes(0, 1),
+    }
+    arr = views[layout]
+    assert arr.shape == shape
+    for n_out in (1, 4, 9):
+        origin = rng.integers(0, a, size=(f, n_out))
+        idx = origin.reshape(origin.shape + (1,) * (arr.ndim - 2))
+        expected = np.take_along_axis(arr, idx, axis=1)
+        assert np.array_equal(_gather_paths(arr, origin), expected)
+        ints = (arr > 0).astype(np.int8)
+        assert np.array_equal(_gather_paths(ints, origin),
+                              np.take_along_axis(ints, idx, axis=1))
 
 
 # --- End-to-end decoding ------------------------------------------------------------
@@ -491,3 +527,30 @@ def test_batch_and_single_frame_agree():
         single = scl_decode(spec, s_list[f], 4)
         assert np.array_equal(batch.u_hat[f], single.u_hat)
         assert batch.chosen_pm[f] == single.chosen_pm
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frames=st.integers(2, 7),
+       data=st.data(), list_size=st.sampled_from([1, 2, 4, 8]),
+       family=st.sampled_from([("hybrid", 2, "flat"), ("hybrid", 4, "recursive"),
+                               ("polar_repetition", 1, "flat")]),
+       mode=st.sampled_from(["list", "sc"]), crc_on=st.booleans())
+def test_batch_split_invariance(seed, frames, data, list_size, family, mode, crc_on):
+    # Decoding F frames in one call equals decoding them in two calls.
+    scheme, t, variant = family
+    spec = spec_for(scheme=scheme, n=32, k=10, t=t, r=2, p=6, variant=variant)
+    rng = np.random.default_rng(seed)
+    if scheme == "hybrid":
+        x = rng.normal(1.0, 2.0, size=(frames, spec.n // t, 1 << t))
+        x[..., 0] = 0.0
+        decode = scl_decode_batch
+    else:
+        x = rng.normal(1.0, 2.0, size=(frames, spec.N))
+        decode = baseline_decode_batch
+    cut = data.draw(st.integers(1, frames - 1))
+    whole = decode(spec, x, list_size, crc_on=crc_on, return_paths=True, mode=mode)
+    parts = [decode(spec, x[sl], list_size, crc_on=crc_on, return_paths=True, mode=mode)
+             for sl in (slice(None, cut), slice(cut, None))]
+    for field in ("u_hat", "crc_pass", "chosen_pm", "list_rank", "all_u", "all_pm"):
+        joined = np.concatenate([getattr(p, field) for p in parts])
+        assert np.array_equal(getattr(whole, field), joined), field
