@@ -273,6 +273,7 @@ def test_pm_update_examples():
 
 
 def test_pruning_keeps_l_smallest_with_stable_ties():
+    spec = spec_for(scheme="polar_repetition", n=4, k=4, t=1, r=1)
     state = _PathState(1, 4, 2, np.zeros(4, dtype=bool), "list")
     # Force four paths with crafted metrics via two branchings.
     state.decide_bit(np.array([[1.0]]), 0)            # -> pms [0, 1]
@@ -283,7 +284,6 @@ def test_pruning_keeps_l_smallest_with_stable_ties():
     # reach either backtracked vector.
     state.decide_bit(np.array([[0.0, -3.0]]), 2)      # -> candidates [0,0,3.5,.5]
     assert np.allclose(state.pm, [[0.0, 0.0]])
-    spec = spec_for(scheme="polar_repetition", n=4, k=4, t=1, r=1)
     out = _finalize(spec, state, crc_on=False, return_paths=True)
     assert out.all_u.tolist() == [[[0, 0, 0, 0], [0, 0, 1, 0]]]
     assert out.u_hat.tolist() == [[0, 0, 0, 0]]
@@ -294,7 +294,6 @@ def test_pruning_keeps_l_smallest_with_stable_ties():
     assert np.allclose(state2.pm, 0.0)
     # survivors are the first two children in index order
     assert list(state2.origins[-1][0]) == [0, 0]
-    spec = spec_for(scheme="polar_repetition", n=4, k=4, t=1, r=1)
     out = _finalize(spec, state2, crc_on=False, return_paths=True)
     assert out.all_u.tolist() == [[[0, 0, 0, 0], [0, 1, 0, 0]]]
 
