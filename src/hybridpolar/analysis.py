@@ -28,7 +28,9 @@ import numpy as np
 from . import channel as _channel
 from . import decoder as _decoder
 from . import encoder as _encoder
+from .channel import pinned_coefficients
 from .codespec import CodeSpec
+from .galois import unpack_symbol_array
 
 
 @dataclass(frozen=True)
@@ -101,23 +103,6 @@ class WeightHistogram:
         return "\n".join(lines) + "\n"
 
 
-def _codeword_bit_weight(symbols: np.ndarray, t: int) -> np.ndarray:
-    """Hamming weight of the modulated bit stream, per leading index."""
-    bits = np.zeros(symbols.shape, dtype=np.int64)
-    s = np.asarray(symbols, dtype=np.int64).copy()
-    for _ in range(t):
-        bits += s & 1
-        s >>= 1
-    return bits.sum(axis=-1)
-
-
-def pinned_coefficients(spec: CodeSpec, seed: int) -> np.ndarray:
-    """The fixed repetition multipliers used for one enumeration run."""
-    tables = spec.field_tables()
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))
-    return _encoder.draw_coefficients(spec.n // spec.t, spec.r, tables, rng)
-
-
 def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
                          seed: int,
                          coefficients: np.ndarray | None = None) -> WeightHistogram:
@@ -129,31 +114,20 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
     removing duplicate u vectors.
     """
     tables = spec.field_tables()
-    if coefficients is None and spec.scheme == "hybrid":
+    hybrid = spec.scheme == "hybrid"
+    if coefficients is None and hybrid:
         coefficients = pinned_coefficients(spec, seed)
     cfg = _channel.ChannelConfig(kind="awgn", ebn0_db=high_snr_db, rate=spec.rate)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
-
-    if spec.scheme == "hybrid":
-        zero_syms = np.zeros(spec.r * spec.n // spec.t, dtype=np.int64)
-        x = _channel.bpsk_modulate(zero_syms, spec.t)
-        y, h = _channel.transmit(x, cfg, rng)
-        s_in = _channel.initial_llrs(y, h, cfg.sigma2, spec.t)
-        s_inner = _decoder.combine_repetitions(s_in, coefficients, tables)
-        out = _decoder.scl_decode_batch(spec, s_inner[None], list_size,
-                                        crc_on=False, return_paths=True)
-    else:
-        x = 1.0 - 2.0 * np.zeros(spec.N)
-        y, h = _channel.transmit(x, cfg, rng)
-        llrs = (2.0 / cfg.sigma2) * h * y
-        out = _decoder.baseline_decode_batch(spec, llrs[None], list_size,
-                                             crc_on=False, return_paths=True)
+    channel_input = _channel.transmit_frames(spec, cfg, np.zeros((1, spec.n), dtype=np.int8),
+                                             [_channel.seeded_rng(seed, 0)], coefficients)
+    decode = _decoder.scl_decode_batch if hybrid else _decoder.baseline_decode_batch
+    out = decode(spec, channel_input, list_size, crc_on=False, return_paths=True)
 
     paths = np.unique(out.all_u[0], axis=0)
     hist = WeightHistogram(list_size=list_size, snr_db=high_snr_db)
     for u in paths:
         symbols = _encoder.encode_u_vector(u, spec, tables, coefficients=coefficients)
-        w = int(_codeword_bit_weight(symbols, spec.t if spec.scheme == "hybrid" else 1))
+        w = int(unpack_symbol_array(symbols, spec.t if hybrid else 1).sum())
         if w > 0:
             hist.add(w)
     return hist
@@ -181,7 +155,7 @@ def brute_force_weights(spec: CodeSpec,
         u = np.zeros(spec.n, dtype=np.int8)
         u[unfrozen] = payload
         symbols = _encoder.encode_u_vector(u, spec, tables, coefficients=coefficients)
-        w = int(_codeword_bit_weight(symbols, spec.t if spec.scheme == "hybrid" else 1))
+        w = int(unpack_symbol_array(symbols, spec.t if spec.scheme == "hybrid" else 1).sum())
         hist.add(w)
     return hist
 

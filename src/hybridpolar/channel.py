@@ -9,15 +9,35 @@ so S[0] is identically zero and the most likely symbol attains the
 minimum.  For BPSK in Gaussian noise the vector decomposes over the
 bits of s: S[s] = sum of 2*h_j*y_j/sigma^2 over the bit positions j
 where s has a 1.
+
+:func:`transmit_frames` is the one transmit chain of every simulation,
+construction and spectrum run.  Frame i draws from its own generator,
+in this order: the caller's u vector, its repetition coefficients
+(unless pinned), its fading gains, its noise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import decoder as _decoder
+from . import encoder as _encoder
 from .galois import unpack_symbol_array
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .codespec import CodeSpec
+
+
+def check_channel_kind(kind: str, fading_blocks: int) -> None:
+    """Reject an unknown channel kind or block fading without blocks."""
+    if kind not in ("awgn", "rayleigh_block"):
+        raise ValueError(f"unknown channel kind {kind!r}")
+    if kind == "rayleigh_block" and fading_blocks < 1:
+        raise ValueError("rayleigh_block needs fading_blocks >= 1")
 
 
 @dataclass(frozen=True)
@@ -37,12 +57,15 @@ class ChannelConfig:
     fading_blocks: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("awgn", "rayleigh_block"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+        check_channel_kind(self.kind, self.fading_blocks)
         if self.rate <= 0:
             raise ValueError("code rate must be positive")
-        if self.kind == "rayleigh_block" and self.fading_blocks < 1:
-            raise ValueError("rayleigh_block needs fading_blocks >= 1")
+        try:
+            usable = math.isfinite(self.ebn0_db) and 0.0 < self.sigma2 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            usable = False
+        if not usable:
+            raise ValueError(f"Eb/N0 = {self.ebn0_db} dB gives no finite positive noise variance")
 
     @property
     def sigma2(self) -> float:
@@ -96,3 +119,45 @@ def initial_llrs(y: np.ndarray, h: np.ndarray, sigma2: float, t: int) -> np.ndar
     bit_llrs = bit_llrs.reshape(*y.shape[:-1], -1, t)
     membership = unpack_symbol_array(np.arange(1 << t, dtype=np.int64), t)
     return bit_llrs @ membership.T.astype(np.float64)
+
+
+def seeded_rng(seed: int, *path: int):
+    """Generator of the stream (seed, *path): (seed, 0, i) is frame i's."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(path)))
+
+
+def pinned_coefficients(spec: "CodeSpec", seed: int) -> np.ndarray:
+    """The (r-1, n/t) repetition multipliers a run pins, from the stream (seed, 1)."""
+    return _encoder.draw_coefficients(spec.n // spec.t, spec.r, spec.field_tables(),
+                                      seeded_rng(seed, 1))
+
+
+def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
+                    pinned: np.ndarray | None = None) -> np.ndarray:
+    """Encode, modulate and transmit a (frames, n) batch of u vectors.
+
+    ``rngs`` holds one generator per frame.  Hybrid frames draw their
+    repetition coefficients from it unless ``pinned`` (r-1, n/t) fixes
+    them for every frame.  Returns the decoder input: the combined
+    (frames, n/t, 2^t) symbol LLRs for the hybrid scheme, the
+    (frames, N) bit LLRs (2/sigma^2) * h * y for the baseline.
+    """
+    hybrid = spec.scheme == "hybrid"
+    tables = spec.field_tables() if hybrid else None
+    coefficients = None
+    if hybrid and pinned is not None:
+        coefficients = np.broadcast_to(pinned, (len(rngs),) + pinned.shape)
+    elif hybrid:
+        n2 = spec.n // spec.t
+        coefficients = np.stack([_encoder.draw_coefficients(n2, spec.r, tables, rng)
+                                 for rng in rngs])
+    t = spec.t if hybrid else 1
+    y = bpsk_modulate(_encoder.encode_u_vector(u, spec, tables, coefficients), t)
+    h = np.empty_like(y)
+    for row, rng in enumerate(rngs):
+        y[row], h[row] = transmit(y[row], cfg, rng)
+    if hybrid:
+        s_in = initial_llrs(y, h, cfg.sigma2, spec.t)
+        del y, h  # the repetition combine is the chain's memory peak
+        return _decoder.combine_repetitions(s_in, coefficients, tables)
+    return (2.0 / cfg.sigma2) * h * y

@@ -8,10 +8,16 @@ complexity  print exact operation-count tables
 weights     estimate a weight spectrum and emit weight,count CSV
 roundtrip   encode/decode smoke run at one operating point
 
-All randomness flows from the config's ``seed``: frame i draws its
-message, coefficients, fading and noise from a stream derived from
-(seed, 0, i), so results are reproducible and independent of how
-frames are batched internally.
+Simulation, construction and weight enumeration send their frames
+through one batched chain, :func:`hybridpolar.channel.transmit_frames`:
+each caller draws only its u vectors (info bits plus CRC here, random
+bits in construction, zeros in enumeration), and the chain adds the
+repetition coefficients, encoding, BPSK, the channel and the decoder's
+LLRs.  All randomness flows from the config's ``seed``: frame i draws
+its message, then its coefficients, fading and noise, from the stream
+(seed, 0, i); pinned coefficients come from (seed, 1).  Every draw
+depends only on array shapes, so results are reproducible and
+independent of how frames are batched internally.
 """
 
 from __future__ import annotations
@@ -66,10 +72,6 @@ class SimRecord:
 # Config files
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = ("scheme", "n", "k", "t", "r", "list_size", "crc_poly", "crc_len",
-               "channel", "fading_blocks", "design_snr", "ebn0_list", "seed",
-               "max_frames", "target_errors", "encoder_variant", "pin_coefficients")
-
 _CONFIG_DEFAULTS = {
     "list_size": "1",
     "crc_poly": "0x43",
@@ -84,6 +86,7 @@ _CONFIG_DEFAULTS = {
 }
 
 _REQUIRED_KEYS = ("scheme", "n", "k", "t", "r", "design_snr", "seed")
+CONFIG_KEYS = _REQUIRED_KEYS + tuple(_CONFIG_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -108,19 +111,7 @@ class SimConfig:
 
 
 def parse_config(path) -> SimConfig:
-    raw: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            raw[key] = value.strip()
+    raw = _codespec.read_key_values(path, CONFIG_KEYS, "config")
     for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ValueError(f"config {path} is missing required key {key!r}")
@@ -133,6 +124,7 @@ def parse_config(path) -> SimConfig:
     for key, low in (("max_frames", 1), ("target_errors", 0), ("list_size", 1)):
         if int(merged[key], 0) < low:
             raise ValueError(f"config {path}: {key} must be >= {low}, got {merged[key]}")
+    _channel.check_channel_kind(merged["channel"], int(merged["fading_blocks"], 0))
     return SimConfig(
         scheme=merged["scheme"],
         n=int(merged["n"], 0),
@@ -180,10 +172,6 @@ def check_config_matches_spec(cfg: SimConfig, spec: CodeSpec) -> None:
 # Frame-error simulation
 # ---------------------------------------------------------------------------
 
-def _frame_rng(seed: int, index: int):
-    return np.random.default_rng(np.random.SeedSequence((int(seed), 0, int(index))))
-
-
 def _chunk_size(spec: CodeSpec, list_size: int) -> int:
     per_frame = max(1, 2 * list_size) * spec.n * (1 << spec.t) // max(1, spec.t)
     return int(np.clip(4_000_000 // max(per_frame, 1), 8, 2048))
@@ -203,48 +191,21 @@ def simulate_point(spec: CodeSpec, ebn0_db: float, list_size: int, seed: int,
     if max_frames < 1:
         raise ValueError(f"max_frames must be >= 1, got {max_frames}")
     t0 = time.perf_counter()
-    tables = spec.field_tables()
-    n2 = spec.n // spec.t
     cfg = _channel.ChannelConfig(kind=channel_kind, ebn0_db=ebn0_db,
                                  rate=spec.rate, fading_blocks=fading_blocks)
-    pinned = None
-    if pin_coefficients and spec.scheme == "hybrid" and spec.r > 1:
-        pin_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1)))
-        pinned = _encoder.draw_coefficients(n2, spec.r, tables, pin_rng)
+    hybrid = spec.scheme == "hybrid"
+    pinned = _channel.pinned_coefficients(spec, seed) if pin_coefficients and hybrid else None
+    decode = _decoder.scl_decode_batch if hybrid else _decoder.baseline_decode_batch
 
     chunk = _chunk_size(spec, list_size)
     frames = frame_errors = bit_errors = 0
-    crc_on = spec.p > 0
     while frames < max_frames:
         m = min(chunk, max_frames - frames)
-        info = np.zeros((m, spec.k), dtype=np.int8)
-        coeffs = np.zeros((m, max(spec.r - 1, 0), n2), dtype=np.int64)
-        ys = np.zeros((m, spec.N))
-        hs = np.zeros((m, spec.N))
-        for j in range(m):
-            rng = _frame_rng(seed, frames + j)
-            info[j] = rng.integers(0, 2, size=spec.k, dtype=np.int8)
-            if spec.scheme == "hybrid":
-                if pinned is not None:
-                    coeffs[j] = pinned
-                elif spec.r > 1:
-                    coeffs[j] = _encoder.draw_coefficients(n2, spec.r, tables, rng)
-                cw = _encoder.encode_hybrid(info[j], spec, tables,
-                                            coefficients=coeffs[j])
-                x = _channel.bpsk_modulate(cw.symbols, spec.t)
-            else:
-                x = 1.0 - 2.0 * _encoder.encode_baseline(info[j], spec).symbols
-            ys[j], hs[j] = _channel.transmit(x, cfg, rng)
-
-        if spec.scheme == "hybrid":
-            s_in = _channel.initial_llrs(ys, hs, cfg.sigma2, spec.t)
-            s_inner = _decoder.combine_repetitions(s_in, coeffs, tables)
-            out = _decoder.scl_decode_batch(spec, s_inner, list_size,
-                                            crc_on=crc_on, mode=decoder_mode)
-        else:
-            llrs = (2.0 / cfg.sigma2) * hs * ys
-            out = _decoder.baseline_decode_batch(spec, llrs, list_size,
-                                                 crc_on=crc_on, mode=decoder_mode)
+        rngs = [_channel.seeded_rng(seed, 0, frames + j) for j in range(m)]
+        info = np.stack([rng.integers(0, 2, size=spec.k, dtype=np.int8) for rng in rngs])
+        channel_input = _channel.transmit_frames(spec, cfg, _encoder.message_u(info, spec),
+                                                 rngs, pinned)
+        out = decode(spec, channel_input, list_size, crc_on=spec.p > 0, mode=decoder_mode)
         decoded_info = out.u_hat[:, spec.unfrozen_indices()[:spec.k]]
         bit_err = (decoded_info != info).sum(axis=1)
         frame_err = bit_err > 0

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import channel as _channel
 from . import decoder as _decoder
-from . import encoder as _encoder
 from .galois import DEFAULT_PRIMITIVE_POLY, SUPPORTED_DEGREES, build_field
 
 SCHEMES = ("hybrid", "polar_repetition")
@@ -121,10 +120,6 @@ def default_frozen_set(n: int, k: int, p: int) -> tuple:
 # Monte-Carlo construction
 # ---------------------------------------------------------------------------
 
-def _rng_for(seed: int, *path: int):
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(path)))
-
-
 def first_error_counts(params: CodeSpec, trials: int, seed: int,
                        batch: int = 512) -> np.ndarray:
     """Per-position first-error counters from genie-aided SC trials.
@@ -140,39 +135,17 @@ def first_error_counts(params: CodeSpec, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tables = params.field_tables()
-    n2 = params.n // params.t
     cfg = _channel.ChannelConfig(kind="awgn", ebn0_db=params.design_snr,
                                  rate=params.rate)
-    sigma = np.sqrt(cfg.sigma2)
-    coeff = None
-    if params.scheme == "hybrid" and params.r > 1:
-        coeff = _encoder.draw_coefficients(n2, params.r, tables, _rng_for(seed, 1))
+    pinned = _channel.pinned_coefficients(params, seed) if params.scheme == "hybrid" else None
 
     counts = np.zeros(params.n, dtype=np.int64)
     done = 0
     while done < trials:
         m = min(batch, trials - done)
-        u = np.zeros((m, params.n), dtype=np.int8)
-        noise = np.zeros((m, params.N))
-        for j in range(m):
-            rng = _rng_for(seed, 0, done + j)
-            u[j] = rng.integers(0, 2, size=params.n, dtype=np.int8)
-            noise[j] = rng.normal(0.0, sigma, size=params.N)
-        if params.scheme == "hybrid":
-            a = _encoder.encode_stage1(u, params.t, params.encoder_variant)
-            z = _encoder.encode_stage2(a)
-            blocks = [z] + [tables.mul[coeff[j], z] for j in range(params.r - 1)]
-            symbols = np.concatenate(blocks, axis=-1)
-            y = _channel.bpsk_modulate(symbols, params.t) + noise
-            s_in = _channel.initial_llrs(y, np.ones_like(y), cfg.sigma2, params.t)
-            rho = np.broadcast_to(coeff, (m,) + coeff.shape) if coeff is not None \
-                else np.zeros((m, 0, n2), dtype=np.int64)
-            channel_input = _decoder.combine_repetitions(s_in, rho, tables)
-        else:
-            x = np.tile(_encoder.polar_transform_binary(u), (1, params.r))
-            y = (1.0 - 2.0 * x) + noise
-            channel_input = (2.0 / cfg.sigma2) * y
+        rngs = [_channel.seeded_rng(seed, 0, done + j) for j in range(m)]
+        u = np.stack([rng.integers(0, 2, size=params.n, dtype=np.int8) for rng in rngs])
+        channel_input = _channel.transmit_frames(params, cfg, u, rngs, pinned)
         firsts = _decoder.genie_first_errors(params, channel_input, u)
         hits = firsts[firsts >= 0]
         counts += np.bincount(hits, minlength=params.n)
@@ -229,20 +202,39 @@ def save_spec(spec: CodeSpec, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_spec(path) -> CodeSpec:
-    """Parse a saved spec, re-validating every invariant."""
+SPEC_KEYS = ("scheme", "N", "n", "k", "t", "r", "p", "crc_poly", "design_snr",
+             "primitive_poly", "encoder_variant", "frozen_set")
+
+
+def read_key_values(path, allowed, kind: str) -> dict:
+    """Read a flat ``key = value`` file into a dict of stripped strings.
+
+    Blank lines and ``#`` comments are skipped.  A malformed line, a
+    key outside ``allowed`` or a repeated key raises ValueError naming
+    ``path:line``; ``kind`` names the file type in the message.
+    """
     fields: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    missing = {"scheme", "n", "k", "t", "r", "p", "crc_poly", "design_snr",
-               "primitive_poly", "encoder_variant", "frozen_set"} - fields.keys()
+            if key not in allowed:
+                raise ValueError(f"{path}:{lineno}: unknown {kind} key {key!r}")
+            if key in fields:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            fields[key] = value.strip()
+    return fields
+
+
+def load_spec(path) -> CodeSpec:
+    """Parse a saved spec, re-validating every invariant."""
+    fields = read_key_values(path, SPEC_KEYS, "spec")
+    missing = set(SPEC_KEYS) - {"N"} - fields.keys()
     if missing:
         raise ValueError(f"spec file missing fields: {sorted(missing)}")
     try:

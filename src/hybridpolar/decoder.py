@@ -32,12 +32,13 @@ batch size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import crc_remainder_matrix, stage1_block_map
+from .encoder import crc_check, stage1_block_map
 from .galois import FieldTables
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,6 +120,25 @@ def stage2_minus(s_plus: np.ndarray, s_minus: np.ndarray,
     return shifted + s_minus - base - s_minus[..., :1]
 
 
+@functools.lru_cache(maxsize=None)
+def stage1_leaf_table(t: int, variant: str) -> tuple:
+    """Per-bit symbol indices that Stage-1 extraction minimises over.
+
+    Entry j is a read-only (2^j, 2, 2^(t-1-j)) array whose element
+    [prefix, beta, c] is the symbol produced by the group whose first j
+    bits are ``prefix``, whose bit j is beta and whose remaining bits
+    are the free completion c.
+    """
+    block_map = stage1_block_map(t, variant)
+    table = []
+    for j in range(t):
+        pfx, beta, free = np.ogrid[:1 << j, :2, :1 << (t - 1 - j)]
+        idx = block_map[pfx | (beta << j) | (free << (j + 1))]
+        idx.setflags(write=False)
+        table.append(idx)
+    return tuple(table)
+
+
 def stage1_bit_llr(s: np.ndarray, u_prefix, i: int, t: int,
                    variant: str = "flat") -> float:
     """Scalar LLR of bit i of a symbol group, given the decided prefix.
@@ -126,24 +146,16 @@ def stage1_bit_llr(s: np.ndarray, u_prefix, i: int, t: int,
     Minimises the symbol LLR vector over all completions of the group
     that are consistent with (prefix, bit=1) versus (prefix, bit=0),
     mapping each completion through the Stage-1 kernel of ``variant``.
+    This reads the same :func:`stage1_leaf_table` the decoder uses.
     """
     if not 0 <= i < t:
         raise ValueError(f"bit index {i} out of range for t={t}")
     u_prefix = list(u_prefix)
     if len(u_prefix) != i:
         raise ValueError(f"prefix must hold exactly {i} decided bits")
-    s = np.asarray(s, dtype=np.float64)
-    block_map = stage1_block_map(t, variant)
-    pfx = 0
-    for j, b in enumerate(u_prefix):
-        pfx |= int(b) << j
-    n_free = 1 << (t - 1 - i)
-    best = [np.inf, np.inf]
-    for beta in (0, 1):
-        for c in range(n_free):
-            w = pfx | (beta << i) | (c << (i + 1))
-            best[beta] = min(best[beta], float(s[block_map[w]]))
-    return best[1] - best[0]
+    pfx = sum(int(b) << j for j, b in enumerate(u_prefix))
+    mins = np.asarray(s, dtype=np.float64)[stage1_leaf_table(t, variant)[i][pfx]].min(axis=-1)
+    return float(mins[1] - mins[0])
 
 
 def stage1_recursive_update(s: np.ndarray, direction: str,
@@ -336,18 +348,7 @@ class _SymbolEngine:
         self.q = 1 << spec.t
         self.state = state
         self.block_map = stage1_block_map(spec.t, spec.encoder_variant)
-        # v_idx[j][prefix, beta, c] = symbol index consistent with the
-        # decided prefix, bit j = beta and free completion c.
-        self.v_idx = []
-        for j in range(spec.t):
-            n_pfx, n_free = 1 << j, 1 << (spec.t - 1 - j)
-            tab = np.zeros((n_pfx, 2, n_free), dtype=np.int64)
-            for pfx in range(n_pfx):
-                for beta in range(2):
-                    for c in range(n_free):
-                        w = pfx | (beta << j) | (c << (j + 1))
-                        tab[pfx, beta, c] = self.block_map[w]
-            self.v_idx.append(tab)
+        self.v_idx = stage1_leaf_table(spec.t, spec.encoder_variant)
 
     def decode(self, s_root: np.ndarray) -> np.ndarray:
         """Run the full outer decode; returns the re-encoded symbol estimate."""
@@ -458,10 +459,7 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
     order = np.argsort(pm, axis=1, kind="stable")
     unfrozen = spec.unfrozen_indices()
     if spec.p > 0:
-        payload = u_all[:, :, unfrozen]
-        m = crc_remainder_matrix(spec.k + spec.p, spec.crc_poly, spec.p)
-        synd = payload.astype(np.int64) @ m.astype(np.int64) % 2
-        pass_mask = ~synd.any(axis=2)
+        pass_mask = crc_check(u_all[:, :, unfrozen], spec.crc_poly, spec.p)
     else:
         pass_mask = np.zeros(pm.shape, dtype=bool)
     if crc_on and spec.p > 0:

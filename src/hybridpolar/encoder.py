@@ -40,41 +40,30 @@ if TYPE_CHECKING:  # pragma: no cover
 def crc_attach(info_bits: np.ndarray, crc_poly: int, p: int) -> np.ndarray:
     """Append the p-bit remainder of info_bits * x^p modulo crc_poly.
 
-    Bits are processed most-significant-degree first, so the first
+    Works on the last axis, batched over any leading axes.  The first
     entry of the returned CRC block is the x^{p-1} coefficient of the
-    remainder.  An all-zero message therefore yields an all-zero CRC.
+    remainder, so an all-zero message yields an all-zero CRC.
     """
-    if p == 0:
-        return np.asarray(info_bits, dtype=np.int8).copy()
-    if crc_poly.bit_length() != p + 1:
-        raise ValueError(f"crc_poly 0x{crc_poly:x} does not have degree {p}")
     info_bits = np.asarray(info_bits, dtype=np.int8)
-    reg = 0
-    top = 1 << p
-    for b in info_bits:
-        reg = (reg << 1) | int(b)
-        if reg & top:
-            reg ^= crc_poly
-    for _ in range(p):
-        reg <<= 1
-        if reg & top:
-            reg ^= crc_poly
-    crc = np.array([(reg >> (p - 1 - j)) & 1 for j in range(p)], dtype=np.int8)
-    return np.concatenate([info_bits, crc])
-
-
-def crc_check(bits: np.ndarray, crc_poly: int, p: int) -> bool:
-    """True iff the trailing p bits are a valid CRC of the leading bits."""
     if p == 0:
-        return True
+        return info_bits.copy()
+    k = info_bits.shape[-1]
+    # The syndrome of (info, 0^p) is the remainder of info * x^p.
+    m = crc_remainder_matrix(k + p, crc_poly, p)[:k]
+    crc = info_bits.astype(np.int64) @ m.astype(np.int64) % 2
+    return np.concatenate([info_bits, crc.astype(np.int8)], axis=-1)
+
+
+def crc_check(bits: np.ndarray, crc_poly: int, p: int) -> np.ndarray:
+    """True where the trailing p bits are a valid CRC of the leading bits.
+
+    Works on the last axis, batched over any leading axes.
+    """
     bits = np.asarray(bits, dtype=np.int8)
-    reg = 0
-    top = 1 << p
-    for b in bits:
-        reg = (reg << 1) | int(b)
-        if reg & top:
-            reg ^= crc_poly
-    return reg == 0
+    if p == 0:
+        return np.ones(bits.shape[:-1], dtype=bool)
+    m = crc_remainder_matrix(bits.shape[-1], crc_poly, p)
+    return ~(bits.astype(np.int64) @ m.astype(np.int64) % 2).any(axis=-1)
 
 
 _CRC_MATRIX_CACHE: dict = {}
@@ -83,27 +72,26 @@ _CRC_MATRIX_CACHE: dict = {}
 def crc_remainder_matrix(length: int, crc_poly: int, p: int) -> np.ndarray:
     """(length, p) GF(2) matrix M with M[i] = CRC contribution of bit i.
 
-    ``bits @ M % 2`` is the p-bit syndrome of a length-``length`` block,
-    which is zero exactly when :func:`crc_check` passes.  Derived by
-    pushing unit vectors through the division routine, so it stays
-    consistent with it by construction.  Cached (read-only) since the
-    decoder asks for the same matrix on every batch.
+    ``bits @ M % 2`` is the remainder of the length-``length`` block
+    (most-significant degree first) modulo crc_poly: the syndrome that
+    :func:`crc_check` tests for zero, and the CRC that
+    :func:`crc_attach` appends.  Cached (read-only) since the decoder
+    asks for the same matrix on every batch.
     """
+    if crc_poly.bit_length() != p + 1:
+        raise ValueError(f"crc_poly 0x{crc_poly:x} does not have degree {p}")
     key = (length, crc_poly, p)
     cached = _CRC_MATRIX_CACHE.get(key)
     if cached is not None:
         return cached
     m = np.zeros((length, p), dtype=np.int8)
-    for i in range(length):
-        unit = np.zeros(length, dtype=np.int8)
-        unit[i] = 1
-        reg = 0
-        top = 1 << p
-        for b in unit:
-            reg = (reg << 1) | int(b)
-            if reg & top:
-                reg ^= crc_poly
+    # Bit i stands for x^(length-1-i): divide by crc_poly one degree at a time.
+    reg = 1
+    for i in reversed(range(length)):
         m[i] = [(reg >> (p - 1 - j)) & 1 for j in range(p)]
+        reg <<= 1
+        if reg >> p:
+            reg ^= crc_poly
     m.setflags(write=False)
     _CRC_MATRIX_CACHE[key] = m
     return m
@@ -213,19 +201,25 @@ class MessageFrame:
     u: np.ndarray
 
 
-def make_message_frame(info_bits: np.ndarray, spec: "CodeSpec") -> MessageFrame:
-    """CRC-extend the payload and scatter it into the unfrozen positions.
+def message_u(info_bits: np.ndarray, spec: "CodeSpec") -> np.ndarray:
+    """CRC-extend (..., k) payloads and scatter them into (..., n) u vectors.
 
     Unfrozen positions are filled in ascending index order, info bits
     first and CRC bits last; frozen positions stay zero.
     """
     info_bits = np.asarray(info_bits, dtype=np.int8)
-    if info_bits.shape != (spec.k,):
+    if info_bits.shape[-1:] != (spec.k,):
         raise ValueError(f"expected {spec.k} information bits, got {info_bits.shape}")
-    payload = crc_attach(info_bits, spec.crc_poly, spec.p)
-    u = np.zeros(spec.n, dtype=np.int8)
-    u[spec.unfrozen_indices()] = payload
-    return MessageFrame(info_bits=info_bits, crc_bits=payload[spec.k:], u=u)
+    u = np.zeros(info_bits.shape[:-1] + (spec.n,), dtype=np.int8)
+    u[..., spec.unfrozen_indices()] = crc_attach(info_bits, spec.crc_poly, spec.p)
+    return u
+
+
+def make_message_frame(info_bits: np.ndarray, spec: "CodeSpec") -> MessageFrame:
+    """:func:`message_u` with the payload parts kept apart."""
+    u = message_u(info_bits, spec)
+    return MessageFrame(info_bits=np.asarray(info_bits, dtype=np.int8),
+                        crc_bits=u[..., spec.unfrozen_indices()[spec.k:]], u=u)
 
 
 def validate_input_vector(u: np.ndarray, spec: "CodeSpec") -> None:
@@ -254,9 +248,14 @@ class Codeword:
 
 
 def draw_coefficients(n_symbols: int, r: int, tables: FieldTables, rng) -> np.ndarray:
-    """(r-1, n_symbols) multipliers drawn uniformly from the nonzero elements."""
+    """(r-1, n_symbols) multipliers drawn uniformly from the nonzero elements.
+
+    For r = 1 there is nothing to draw and ``rng`` is left untouched.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
+    if r == 1:
+        return np.zeros((0, n_symbols), dtype=np.int64)
     return rng.integers(1, tables.q, size=(r - 1, n_symbols), dtype=np.int64)
 
 
@@ -270,25 +269,25 @@ def multiplicative_repeat(
     """Repeat the outer symbols r times, scaling each repeat elementwise.
 
     Block 1 is z itself; block j >= 2 is rho_j * z with rho_j the j-th
-    row of coefficients.  Coefficients come from ``rng`` unless pinned
-    explicitly.
+    row of coefficients.  ``z`` is (..., n2) and the coefficients are
+    (..., r-1, n2), batched over the same leading axes.  Coefficients
+    come from ``rng`` unless pinned explicitly.
     """
     z = np.asarray(z, dtype=np.int64)
     if coefficients is None:
         if r > 1 and rng is None:
             raise ValueError("need an rng or explicit coefficients for r > 1")
-        coefficients = draw_coefficients(z.shape[-1], r, tables, rng) if r > 1 \
-            else np.zeros((0, z.shape[-1]), dtype=np.int64)
+        coefficients = draw_coefficients(z.shape[-1], r, tables, rng)
     else:
         coefficients = np.asarray(coefficients, dtype=np.int64)
-        if coefficients.shape != (r - 1, z.shape[-1]):
+        if coefficients.shape[-2:] != (r - 1, z.shape[-1]):
             raise ValueError(
-                f"coefficient array must have shape {(r - 1, z.shape[-1])}, "
+                f"coefficient array must have shape (..., {r - 1}, {z.shape[-1]}), "
                 f"got {coefficients.shape}"
             )
         if np.any(coefficients == 0) or np.any(coefficients >= tables.q):
             raise ValueError("repetition coefficients must be nonzero field elements")
-    blocks = [z] + [tables.mul[coefficients[j], z] for j in range(r - 1)]
+    blocks = [z] + [tables.mul[coefficients[..., j, :], z] for j in range(r - 1)]
     return Codeword(symbols=np.concatenate(blocks, axis=-1), coefficients=coefficients)
 
 
@@ -302,9 +301,7 @@ def encode_hybrid(
     """Full hybrid chain: CRC, frozen insertion, both stages, repetition."""
     if spec.scheme != "hybrid":
         raise ValueError(f"spec scheme is {spec.scheme!r}, expected 'hybrid'")
-    frame = make_message_frame(info_bits, spec)
-    a = encode_stage1(frame.u, spec.t, spec.encoder_variant)
-    z = encode_stage2(a)
+    z = encode_stage2(encode_stage1(message_u(info_bits, spec), spec.t, spec.encoder_variant))
     return multiplicative_repeat(z, spec.r, tables, rng=rng, coefficients=coefficients)
 
 
@@ -312,23 +309,21 @@ def encode_baseline(info_bits: np.ndarray, spec: "CodeSpec") -> Codeword:
     """Binary polar codeword repeated r times verbatim."""
     if spec.scheme != "polar_repetition":
         raise ValueError(f"spec scheme is {spec.scheme!r}, expected 'polar_repetition'")
-    frame = make_message_frame(info_bits, spec)
-    x = polar_transform_binary(frame.u)
-    return Codeword(symbols=np.tile(x, spec.r), coefficients=None)
+    return Codeword(symbols=encode_u_vector(message_u(info_bits, spec), spec, None))
 
 
-def encode_u_vector(u: np.ndarray, spec: "CodeSpec", tables: FieldTables,
+def encode_u_vector(u: np.ndarray, spec: "CodeSpec", tables: FieldTables | None,
                     coefficients: np.ndarray | None = None) -> np.ndarray:
-    """Outer+inner transform of a raw u vector (no CRC, no frozen checks).
+    """Outer+inner transform of (..., n) u vectors (no CRC, no frozen checks).
 
-    Used by the code construction (which ranks bit channels with fully
-    random u) and by weight enumeration (which re-encodes decoded u
-    vectors under pinned coefficients).  Returns the symbol stream.
+    Returns the (..., N/t) symbol streams; hybrid coefficients are
+    (..., r-1, n/t).  This is the encoder of the frame pipeline
+    (:func:`hybridpolar.channel.transmit_frames`), and weight
+    enumeration re-encodes decoded u vectors with it.
     """
     if spec.scheme == "polar_repetition":
         return np.tile(polar_transform_binary(u), spec.r)
-    a = encode_stage1(np.asarray(u, dtype=np.int64), spec.t, spec.encoder_variant)
-    z = encode_stage2(a)
+    z = encode_stage2(encode_stage1(u, spec.t, spec.encoder_variant))
     return multiplicative_repeat(z, spec.r, tables, coefficients=coefficients).symbols
 
 

@@ -28,31 +28,12 @@ CRC6 = 0b1000011
 # batched frame pipeline used by the statistical criteria
 # ---------------------------------------------------------------------------
 
-def batch_encode_payload(spec, info):
-    """(frames, k) info bits -> (frames, n) u vectors, CRC attached."""
-    frames = info.shape[0]
-    if spec.p > 0:
-        m = enc.crc_remainder_matrix(spec.k + spec.p, spec.crc_poly, spec.p)
-        crc = info.astype(np.int64) @ m[:spec.k].astype(np.int64) % 2
-        payload = np.concatenate([info, crc.astype(np.int8)], axis=1)
-    else:
-        payload = info
-    u = np.zeros((frames, spec.n), dtype=np.int8)
-    u[:, spec.unfrozen_indices()] = payload
-    return u
-
-
-def batch_hybrid_symbols(spec, tables, u, coeffs):
-    a = enc.encode_stage1(u, spec.t, spec.encoder_variant)
-    z = enc.encode_stage2(a)
-    blocks = [z] + [tables.mul[coeffs[:, j], z] for j in range(spec.r - 1)]
-    return np.concatenate(blocks, axis=-1)
-
-
 def run_hybrid_frames(spec, tables, info, coeffs, cfg, rng):
-    """Encode, transmit and decode-ready LLRs for a batch of frames."""
-    u = batch_encode_payload(spec, info)
-    symbols = batch_hybrid_symbols(spec, tables, u, coeffs)
+    """Encode, transmit and decode-ready LLRs for a batch of frames.
+
+    One generator serves the whole batch, as when the criteria were set.
+    """
+    symbols = enc.encode_u_vector(enc.message_u(info, spec), spec, tables, coeffs)
     x = ch.bpsk_modulate(symbols, spec.t)
     y, h = ch.transmit(x, cfg, rng)
     s_in = ch.initial_llrs(y, h, cfg.sigma2, spec.t)
@@ -152,10 +133,10 @@ def test_criterion_4_degenerate_equivalence():
     cfg = ch.ChannelConfig("awgn", 1.0, spec_b.rate)
     rng = np.random.default_rng(501)
     info = rng.integers(0, 2, size=(frames, k), dtype=np.int8)
-    u = batch_encode_payload(spec_b, info)
+    u = enc.message_u(info, spec_b)
 
-    x_b = 1.0 - 2.0 * np.tile(enc.polar_transform_binary(u), (1, r))
-    symbols_h = batch_hybrid_symbols(spec_h, gf2, u, ones)
+    x_b = 1.0 - 2.0 * enc.encode_u_vector(u, spec_b, None)
+    symbols_h = enc.encode_u_vector(u, spec_h, gf2, ones)
     x_h = ch.bpsk_modulate(symbols_h, 1)
     assert np.array_equal(x_b, x_h)  # bit-identical channel streams
 

@@ -74,6 +74,14 @@ def test_config_validation():
         ChannelConfig("rayleigh_block", 0.0, 0.5, fading_blocks=0)
 
 
+@pytest.mark.parametrize("ebn0_db", [float("nan"), float("inf"), -float("inf"),
+                                     4000.0, -4000.0])
+def test_config_rejects_unusable_snr(ebn0_db):
+    # nan used to run silently; +-4000 dB overflowed or divided by zero.
+    with pytest.raises(ValueError, match="Eb/N0"):
+        ChannelConfig("awgn", ebn0_db, 0.5)
+
+
 def test_initial_llrs_reference_entry_zero():
     rng = np.random.default_rng(4)
     y = rng.normal(size=12)

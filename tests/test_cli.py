@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,31 @@ def test_missing_design_snr_names_key(tmp_path):
 def test_unknown_config_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         cli.parse_config(write_config(tmp_path, BASE_CONFIG + "turbo_mode = on\n"))
+
+
+def test_repeated_config_key_rejected(tmp_path):
+    path = write_config(tmp_path, BASE_CONFIG + "seed = 2\n")
+    lines = BASE_CONFIG.count("\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lines + 1}: repeated key 'seed'")):
+        cli.parse_config(path)
+
+
+def assert_one_error_line(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    for word in words:
+        assert word in err
+
+
+@pytest.mark.parametrize("kv,word", [(dict(channel="rayleigh"), "rayleigh"),
+                                     (dict(channel="rayleigh_block", fading_blocks=0),
+                                      "fading_blocks")])
+def test_construct_rejects_bad_channel(tmp_path, capsys, kv, word):
+    cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, **kv))
+    out = tmp_path / "x.spec"
+    assert cli.main(["construct", str(cfg_path), "-o", str(out)]) == 1
+    assert_one_error_line(capsys, word)
+    assert not out.exists()
 
 
 # --- construct ----------------------------------------------------------------------
@@ -215,6 +242,19 @@ def test_roundtrip_zero_frames_is_diagnosed(constructed, capsys):
     assert cli.main(["roundtrip", "--spec", str(spec_path), "--frames", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ebn0", ["4000", "nan", "-4000"])
+def test_unusable_snr_is_diagnosed(tmp_path, constructed, capsys, ebn0):
+    cfg_path, spec_path = constructed
+    cfg_sim = write_config(tmp_path, edit_config(BASE_CONFIG, ebn0_list=ebn0), "snr.cfg")
+    assert cli.main(["simulate", str(cfg_sim), "--spec", str(spec_path)]) == 1
+    assert_one_error_line(capsys, "Eb/N0")
+    cfg_con = write_config(tmp_path, edit_config(BASE_CONFIG, design_snr=ebn0), "des.cfg")
+    assert cli.main(["construct", str(cfg_con), "-o", str(tmp_path / "x.spec")]) == 1
+    assert_one_error_line(capsys, "Eb/N0")
+    assert cli.main(["roundtrip", "--spec", str(spec_path), "--ebn0", ebn0]) == 1
+    assert_one_error_line(capsys, "Eb/N0")
 
 
 # --- complexity ------------------------------------------------------------------------

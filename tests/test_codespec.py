@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ def test_load_rejects_malformed_line(tmp_path):
     path = tmp_path / "broken.spec"
     path.write_text("scheme hybrid\n")
     with pytest.raises(ValueError, match="key = value"):
+        load_spec(path)
+
+
+@pytest.mark.parametrize("extra,message", [("bogus_key = 5", "unknown spec key 'bogus_key'"),
+                                           ("k = 11", "repeated key 'k'")])
+def test_load_rejects_unknown_and_repeated_keys(tmp_path, extra, message):
+    path = tmp_path / "code.spec"
+    save_spec(valid_spec(), path)
+    lines = path.read_text().count("\n")
+    path.write_text(path.read_text() + extra + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lines + 1}: {message}")):
         load_spec(path)
 
 

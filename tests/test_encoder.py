@@ -58,6 +58,15 @@ def test_crc_matches_long_division_oracle():
         got = crc_attach(np.array(msg, dtype=np.int8), CRC6, 6)
         assert list(got[len(msg):]) == oracles.crc_longdiv(msg, CRC6, 6)
         assert oracles.crc_check_longdiv(list(got), CRC6, 6)
+    # Batched over leading axes: every row is its own message.
+    for length in (1, 7, 80):
+        msgs = rng.integers(0, 2, size=(3, 4, length), dtype=np.int8)
+        got = crc_attach(msgs, CRC6, 6)
+        assert got.shape == (3, 4, length + 6)
+        assert crc_check(got, CRC6, 6).all()
+        for msg, block in zip(msgs.reshape(-1, length), got.reshape(-1, length + 6)):
+            assert list(block[:length]) == list(msg)
+            assert list(block[length:]) == oracles.crc_longdiv(list(msg), CRC6, 6)
 
 
 def test_crc_detects_corruption():
