@@ -77,7 +77,7 @@ def test_config_validation():
 @pytest.mark.parametrize("ebn0_db", [float("nan"), float("inf"), -float("inf"),
                                      4000.0, -4000.0])
 def test_config_rejects_unusable_snr(ebn0_db):
-    # nan used to run silently; +-4000 dB overflowed or divided by zero.
+    # nan gives a nan sigma^2; +-4000 dB overflows or underflows 10^(Eb/N0/10).
     with pytest.raises(ValueError, match="Eb/N0"):
         ChannelConfig("awgn", ebn0_db, 0.5)
 
