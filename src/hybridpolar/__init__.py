@@ -19,9 +19,8 @@ from .channel import ChannelConfig, bpsk_modulate, initial_llrs, transmit
 from .codespec import (CodeSpec, construct_code, default_frozen_set, load_spec,
                        monte_carlo_construct, save_spec)
 from .decoder import (DecodeResult, baseline_decode, combine_repetitions,
-                      permute_llr, pm_update, sc_decode, scl_decode,
-                      stage1_bit_llr, stage1_recursive_update, stage2_minus,
-                      stage2_plus)
+                      permute_llr, sc_decode, scl_decode, stage1_bit_llr,
+                      stage2_minus, stage2_plus)
 from .encoder import (Codeword, MessageFrame, crc_attach, crc_check,
                       encode_baseline, encode_hybrid, encode_stage1,
                       encode_stage2, multiplicative_repeat,

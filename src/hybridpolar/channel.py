@@ -18,7 +18,6 @@ in this order: the caller's u vector, its repetition coefficients
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,6 +37,13 @@ def check_channel_kind(kind: str, fading_blocks: int) -> None:
         raise ValueError(f"unknown channel kind {kind!r}")
     if kind == "rayleigh_block" and fading_blocks < 1:
         raise ValueError("rayleigh_block needs fading_blocks >= 1")
+
+
+# Largest accepted LLR scale 2/sigma^2 (Eb/N0 up to ~1500 dB).  The decoder
+# sums channel LLRs over repetitions, Stage-2 spans and path metrics; near
+# the float64 maximum those sums overflow to inf and inf - inf gives NaN
+# metrics.  1e150 leaves ~10^158 of headroom for the sums and for |h*y|.
+MAX_LLR_SCALE = 1e150
 
 
 @dataclass(frozen=True)
@@ -61,11 +67,12 @@ class ChannelConfig:
         if self.rate <= 0:
             raise ValueError("code rate must be positive")
         try:
-            usable = math.isfinite(self.ebn0_db) and 0.0 < self.sigma2 < math.inf
+            usable = 0.0 < 2.0 / self.sigma2 <= MAX_LLR_SCALE
         except (OverflowError, ZeroDivisionError):
             usable = False
         if not usable:
-            raise ValueError(f"Eb/N0 = {self.ebn0_db} dB gives no finite positive noise variance")
+            raise ValueError(f"Eb/N0 = {self.ebn0_db} dB gives no LLR scale 2/sigma^2 "
+                             f"in (0, {MAX_LLR_SCALE:g}]")
 
     @property
     def sigma2(self) -> float:

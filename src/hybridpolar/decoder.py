@@ -18,8 +18,8 @@ Decoding a hybrid frame has four parts:
    No path copies its decisions: each is stored once with its parent
    pointers, and one backtrack at the end reads out every survivor.
 
-The same machinery with scalar LLRs and the binary min-sum pair f/g
-decodes the baseline polar-repetition scheme.
+One recursion, :func:`_span`, serves both schemes: the baseline polar-repetition
+scheme swaps in scalar LLRs, the binary min-sum pair f/g and a one-bit leaf.
 
 Everything here is vectorised across list paths and across a batch of
 independent frames: one decoder invocation carries arrays shaped
@@ -115,9 +115,8 @@ def stage2_minus(s_plus: np.ndarray, s_minus: np.ndarray,
     idx = u0[..., None] ^ np.arange(q)
     shifted = np.take_along_axis(np.broadcast_to(s_plus, idx.shape[:-1] + (q,)),
                                  idx, axis=-1)
-    base = np.take_along_axis(np.broadcast_to(s_plus, idx.shape[:-1] + (q,)),
-                              u0[..., None], axis=-1)
-    return shifted + s_minus - base - s_minus[..., :1]
+    # shifted[..., 0] is s_plus[u0 ^ 0] = s_plus[u0].
+    return shifted + s_minus - shifted[..., :1] - s_minus[..., :1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,54 +155,6 @@ def stage1_bit_llr(s: np.ndarray, u_prefix, i: int, t: int,
     pfx = sum(int(b) << j for j, b in enumerate(u_prefix))
     mins = np.asarray(s, dtype=np.float64)[stage1_leaf_table(t, variant)[i][pfx]].min(axis=-1)
     return float(mins[1] - mins[0])
-
-
-def stage1_recursive_update(s: np.ndarray, direction: str,
-                            u0: np.ndarray | int | None = None) -> np.ndarray:
-    """One layer of the recursive Stage-1 update.
-
-    The input vector is indexed by pairs of half-size symbols packed
-    low-half first; the output vector lives over the half-size field.
-    ``plus`` produces the LLRs of the first half-symbol, ``minus``
-    those of the second given the decided first one.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    q2 = s.shape[-1]
-    tp = (q2.bit_length() - 1) // 2
-    if 1 << (2 * tp) != q2:
-        raise ValueError(f"input length {q2} is not the square of a field size")
-    q = 1 << tp
-    values = np.arange(q)
-    if direction == "plus":
-        acc = np.full(s.shape[:-1] + (q,), np.inf)
-        for u1 in range(q):
-            idx = (values ^ u1) | (u1 << tp)
-            np.minimum(acc, s[..., idx], out=acc)
-        return acc - acc[..., :1]
-    if direction == "minus":
-        if u0 is None:
-            raise ValueError("minus update needs the decided first half-symbol")
-        u0 = np.asarray(u0, dtype=np.int64)
-        idx = (u0[..., None] ^ values) | (values << tp)
-        picked = np.take_along_axis(np.broadcast_to(s, idx.shape[:-1] + (q2,)),
-                                    idx, axis=-1)
-        base = np.take_along_axis(np.broadcast_to(s, idx.shape[:-1] + (q2,)),
-                                  u0[..., None], axis=-1)
-        return picked - base
-    raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
-
-
-def pm_update(pm: float, s: float, u: int) -> float:
-    """Path-metric step: add |s| when the decision contradicts sign(s).
-
-    sign(0) counts as +1, so s = 0 with u = 0 adds nothing.
-    """
-    if pm < 0:
-        raise ValueError("path metric must be non-negative")
-    sign = 1.0 if s >= 0 else -1.0
-    if u != (1 - sign) / 2:
-        return pm + abs(s)
-    return pm
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +201,7 @@ class BatchDecodeResult:
 # ---------------------------------------------------------------------------
 
 class _PathState:
-    """Per-decode bookkeeping shared by the symbol and binary engines.
+    """Per-decode bookkeeping of the recursion, the same for both schemes.
 
     Paths live on axis 1 of every array.  Whenever the list branches or
     is pruned, the parent-index map is appended to ``origins`` so that
@@ -269,16 +220,12 @@ class _PathState:
         self.pm = np.zeros((n_frames, 1))
         self.trace: list[tuple] = []
         self.origins: list[np.ndarray] = []
-        self.leaf_cursor = 0
         self.genie_u = genie_u
         self.first_error = np.full(n_frames, -1, dtype=np.int64)
 
     @property
     def paths(self) -> int:
         return self.pm.shape[1]
-
-    def epoch(self) -> int:
-        return len(self.origins)
 
     def origin_since(self, epoch: int) -> np.ndarray | None:
         """Composed parent map from the current paths back to ``epoch``."""
@@ -298,8 +245,7 @@ class _PathState:
         if self.frozen_mask[global_idx]:
             if self.mode == "list":
                 self.pm += np.maximum(-s_b, 0.0)
-            bits = np.zeros_like(s_b, dtype=np.int64)
-            return bits, None
+            return np.zeros_like(s_b, dtype=np.int64), None
         if self.mode == "genie":
             truth = self.genie_u[:, global_idx].astype(np.int64)
             wrong = ((s_b[:, 0] < 0).astype(np.int64) != truth) & (self.first_error < 0)
@@ -337,69 +283,58 @@ def _gather_paths(arr: np.ndarray, origin: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Symbol-domain engine (hybrid scheme)
+# The SC/SCL recursion and its per-scheme kernels
 # ---------------------------------------------------------------------------
 
-class _SymbolEngine:
-    """Stage-2 recursion plus Stage-1 leaf processing over GF(2^t)."""
+def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, first: int = 0) -> np.ndarray:
+    """Decode the span ``s`` (frames, paths, length, ...) whose first leaf is ``first``.
 
-    def __init__(self, spec: "CodeSpec", state: _PathState):
-        self.t = spec.t
-        self.q = 1 << spec.t
-        self.state = state
-        self.block_map = stage1_block_map(spec.t, spec.encoder_variant)
-        self.v_idx = stage1_leaf_table(spec.t, spec.encoder_variant)
+    ``plus``/``minus`` are the kernel's check and variable updates and
+    ``leaf(state, s, i)`` decides leaf i; returns the span's re-encoding.
+    """
+    half = s.shape[2] // 2
+    if half == 0:
+        return leaf(state, s[:, :, 0], first)[:, :, None]
+    # The left half of the span carries the XOR of the two virtual
+    # inputs, the right half the second one alone.
+    s_left = plus(s[:, :, :half], s[:, :, half:])
+    epoch = len(state.origins)
+    x_left = _span(state, s_left, plus, minus, leaf, first)
+    origin = state.origin_since(epoch)
+    if origin is not None:
+        s = _gather_paths(s, origin)
+    s_right = minus(s[:, :, :half], s[:, :, half:], x_left)
+    epoch = len(state.origins)
+    x_right = _span(state, s_right, plus, minus, leaf, first + half)
+    origin = state.origin_since(epoch)
+    if origin is not None:
+        x_left = _gather_paths(x_left, origin)
+    return np.concatenate([x_left ^ x_right, x_right], axis=2)
 
-    def decode(self, s_root: np.ndarray) -> np.ndarray:
-        """Run the full outer decode; returns the re-encoded symbol estimate."""
-        return self._span(s_root[:, None, :, :])
 
-    def _span(self, s: np.ndarray) -> np.ndarray:
-        length = s.shape[2]
-        if length == 1:
-            return self._leaf(s[:, :, 0, :])[:, :, None]
-        half = length // 2
-        state = self.state
-        # The left half of the span carries the XOR of the two virtual
-        # inputs, the right half the second one alone.
-        s_left = stage2_plus(s[:, :, :half], s[:, :, half:])
-        epoch = state.epoch()
-        x_left = self._span(s_left)
-        origin = state.origin_since(epoch)
+def _symbol_leaf(block_map: np.ndarray, v_idx: tuple, state: _PathState,
+                 s: np.ndarray, i: int) -> np.ndarray:
+    """Peel the t bits of Stage-2 symbol i; returns the re-packed symbol."""
+    t, q = len(v_idx), s.shape[-1]
+    prefix = np.zeros(s.shape[:2], dtype=np.int64)
+    for j in range(t):
+        f, a = s.shape[0], s.shape[1]
+        idx = v_idx[j][prefix]                                # (F, A, 2, n_free)
+        flat = s.reshape(f * a, q)
+        cand = flat[np.arange(f * a)[:, None], idx.reshape(f * a, -1)]
+        mins = cand.reshape(f, a, 2, -1).min(axis=-1)
+        s_b = mins[..., 1] - mins[..., 0]
+        bits, origin = state.decide_bit(s_b, i * t + j)
         if origin is not None:
             s = _gather_paths(s, origin)
-        s_right = stage2_minus(s[:, :, :half], s[:, :, half:], x_left)
-        epoch = state.epoch()
-        x_right = self._span(s_right)
-        origin = state.origin_since(epoch)
-        if origin is not None:
-            x_left = _gather_paths(x_left, origin)
-        return np.concatenate([x_left ^ x_right, x_right], axis=2)
-
-    def _leaf(self, s: np.ndarray) -> np.ndarray:
-        """Peel the t bits of one Stage-2 symbol; returns the re-packed symbol."""
-        state = self.state
-        i = state.leaf_cursor
-        state.leaf_cursor += 1
-        prefix = np.zeros(s.shape[:2], dtype=np.int64)
-        for j in range(self.t):
-            f, a = s.shape[0], s.shape[1]
-            idx = self.v_idx[j][prefix]                       # (F, A, 2, n_free)
-            flat = s.reshape(f * a, self.q)
-            cand = flat[np.arange(f * a)[:, None], idx.reshape(f * a, -1)]
-            mins = cand.reshape(f, a, 2, -1).min(axis=-1)
-            s_b = mins[..., 1] - mins[..., 0]
-            bits, origin = state.decide_bit(s_b, i * self.t + j)
-            if origin is not None:
-                s = _gather_paths(s, origin)
-                prefix = _gather_paths(prefix, origin)
-            prefix = prefix | (bits << j)
-        return self.block_map[prefix]
+            prefix = _gather_paths(prefix, origin)
+        prefix = prefix | (bits << j)
+    return block_map[prefix]
 
 
-# ---------------------------------------------------------------------------
-# Bit-domain engine (baseline scheme)
-# ---------------------------------------------------------------------------
+def _bit_leaf(state: _PathState, s: np.ndarray, i: int) -> np.ndarray:
+    return state.decide_bit(s, i)[0].astype(np.int8)
+
 
 def _f_bin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
@@ -409,37 +344,19 @@ def _g_bin(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
     return b + (1.0 - 2.0 * u0) * a
 
 
-class _BinaryEngine:
-    """Plain binary min-sum SC/SCL over scalar LLRs."""
+def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
+    """Run the recursion of ``spec.scheme`` over (frames, n/t, 2^t) or (frames, N) LLRs.
 
-    def __init__(self, state: _PathState):
-        self.state = state
-
-    def decode(self, llr_root: np.ndarray) -> np.ndarray:
-        return self._span(llr_root[:, None, :])
-
-    def _span(self, s: np.ndarray) -> np.ndarray:
-        length = s.shape[2]
-        state = self.state
-        if length == 1:
-            idx = state.leaf_cursor
-            state.leaf_cursor += 1
-            bits, _ = state.decide_bit(s[:, :, 0], idx)
-            return bits[:, :, None].astype(np.int8)
-        half = length // 2
-        s_left = _f_bin(s[:, :, :half], s[:, :, half:])
-        epoch = state.epoch()
-        x_left = self._span(s_left)
-        origin = state.origin_since(epoch)
-        if origin is not None:
-            s = _gather_paths(s, origin)
-        s_right = _g_bin(s[:, :, :half], s[:, :, half:], x_left)
-        epoch = state.epoch()
-        x_right = self._span(s_right)
-        origin = state.origin_since(epoch)
-        if origin is not None:
-            x_left = _gather_paths(x_left, origin)
-        return np.concatenate([x_left ^ x_right, x_right], axis=2)
+    The kernels are looked up at call time, so a wrapped module attribute is used.
+    """
+    root = np.asarray(channel_input, dtype=np.float64)
+    if spec.scheme == "hybrid":
+        variant = spec.encoder_variant
+        leaf = functools.partial(_symbol_leaf, stage1_block_map(spec.t, variant),
+                                 stage1_leaf_table(spec.t, variant))
+        _span(state, root[:, None], stage2_plus, stage2_minus, leaf)
+    else:
+        _span(state, combine_baseline(root, spec.r)[:, None], _f_bin, _g_bin, _bit_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +374,8 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
         u_all[:, :, global_idx] = _gather_paths(bits, idx)
         idx = idx if parent is None else _gather_paths(parent, idx)
     order = np.argsort(pm, axis=1, kind="stable")
-    unfrozen = spec.unfrozen_indices()
     if spec.p > 0:
-        pass_mask = crc_check(u_all[:, :, unfrozen], spec.crc_poly, spec.p)
+        pass_mask = crc_check(u_all[:, :, spec.unfrozen_indices()], spec.crc_poly, spec.p)
     else:
         pass_mask = np.zeros(pm.shape, dtype=bool)
     if crc_on and spec.p > 0:
@@ -480,6 +396,18 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
     )
 
 
+def _list_decode(spec: "CodeSpec", channel_input: np.ndarray, list_size: int,
+                 crc_on: bool, return_paths: bool, mode: str) -> BatchDecodeResult:
+    if list_size < 1:
+        raise ValueError("list size must be >= 1")
+    if mode not in ("list", "sc"):
+        raise ValueError(f"decoder mode must be 'list' or 'sc', got {mode!r}")
+    state = _PathState(channel_input.shape[0], spec.n, list_size,
+                       spec.frozen_mask(), mode)
+    _decode(spec, state, channel_input)
+    return _finalize(spec, state, crc_on, return_paths)
+
+
 def scl_decode_batch(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,
                      crc_on: bool = True, return_paths: bool = False,
                      mode: str = "list") -> BatchDecodeResult:
@@ -494,12 +422,7 @@ def scl_decode_batch(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,
         raise ValueError(
             f"s_inner must have shape (frames, {n2}, {1 << spec.t}), got {s_inner.shape}"
         )
-    if list_size < 1:
-        raise ValueError("list size must be >= 1")
-    state = _PathState(s_inner.shape[0], spec.n, list_size,
-                       spec.frozen_mask(), mode)
-    _SymbolEngine(spec, state).decode(s_inner)
-    return _finalize(spec, state, crc_on, return_paths)
+    return _list_decode(spec, s_inner, list_size, crc_on, return_paths, mode)
 
 
 def scl_decode(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,
@@ -531,13 +454,7 @@ def baseline_decode_batch(spec: "CodeSpec", bit_llrs: np.ndarray, list_size: int
     bit_llrs = np.asarray(bit_llrs, dtype=np.float64)
     if bit_llrs.ndim != 2 or bit_llrs.shape[1] != spec.N:
         raise ValueError(f"bit_llrs must have shape (frames, {spec.N})")
-    if list_size < 1:
-        raise ValueError("list size must be >= 1")
-    combined = combine_baseline(bit_llrs, spec.r)
-    state = _PathState(bit_llrs.shape[0], spec.n, list_size,
-                       spec.frozen_mask(), mode)
-    _BinaryEngine(state).decode(combined)
-    return _finalize(spec, state, crc_on, return_paths)
+    return _list_decode(spec, bit_llrs, list_size, crc_on, return_paths, mode)
 
 
 def baseline_decode(spec: "CodeSpec", bit_llrs: np.ndarray, list_size: int,
@@ -564,9 +481,5 @@ def genie_first_errors(spec: "CodeSpec", channel_input, true_u: np.ndarray) -> n
     true_u = np.asarray(true_u, dtype=np.int8)
     state = _PathState(true_u.shape[0], spec.n, 1,
                        np.zeros(spec.n, dtype=bool), "genie", genie_u=true_u)
-    if spec.scheme == "hybrid":
-        _SymbolEngine(spec, state).decode(np.asarray(channel_input, dtype=np.float64))
-    else:
-        combined = combine_baseline(np.asarray(channel_input, dtype=np.float64), spec.r)
-        _BinaryEngine(state).decode(combined)
+    _decode(spec, state, channel_input)
     return state.first_error

@@ -4,6 +4,9 @@ Everything here is written naively and separately from the package
 internals: CRC by explicit long division over coefficient lists, polar
 transforms by dense Kronecker matrices, LLRs from Gaussian densities,
 and the min-sum updates by direct enumeration of the defining formulas.
+The layered Stage-1 update and the scalar path-metric step are the
+textbook per-layer and per-bit rules that the decoder replaces with one
+table lookup (Stage 1) and one batched branch (the metric).
 """
 
 import math
@@ -127,6 +130,54 @@ def stage1_bit_llr_enum(s, prefix, i: int, t: int, variant: str) -> float:
             w = pfx | (beta << i) | (c << (i + 1))
             best[beta] = min(best[beta], s[block_map[w]])
     return best[1] - best[0]
+
+
+def stage1_recursive_update(s: np.ndarray, direction: str,
+                            u0: np.ndarray | int | None = None) -> np.ndarray:
+    """One layer of the recursive Stage-1 update.
+
+    The input vector is indexed by pairs of half-size symbols packed
+    low-half first; the output vector lives over the half-size field.
+    ``plus`` produces the LLRs of the first half-symbol, ``minus``
+    those of the second given the decided first one.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    q2 = s.shape[-1]
+    tp = (q2.bit_length() - 1) // 2
+    if 1 << (2 * tp) != q2:
+        raise ValueError(f"input length {q2} is not the square of a field size")
+    q = 1 << tp
+    values = np.arange(q)
+    if direction == "plus":
+        acc = np.full(s.shape[:-1] + (q,), np.inf)
+        for u1 in range(q):
+            idx = (values ^ u1) | (u1 << tp)
+            np.minimum(acc, s[..., idx], out=acc)
+        return acc - acc[..., :1]
+    if direction == "minus":
+        if u0 is None:
+            raise ValueError("minus update needs the decided first half-symbol")
+        u0 = np.asarray(u0, dtype=np.int64)
+        idx = (u0[..., None] ^ values) | (values << tp)
+        picked = np.take_along_axis(np.broadcast_to(s, idx.shape[:-1] + (q2,)),
+                                    idx, axis=-1)
+        base = np.take_along_axis(np.broadcast_to(s, idx.shape[:-1] + (q2,)),
+                                  u0[..., None], axis=-1)
+        return picked - base
+    raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
+
+
+def pm_update(pm: float, s: float, u: int) -> float:
+    """Path-metric step: add |s| when the decision contradicts sign(s).
+
+    sign(0) counts as +1, so s = 0 with u = 0 adds nothing.
+    """
+    if pm < 0:
+        raise ValueError("path metric must be non-negative")
+    sign = 1.0 if s >= 0 else -1.0
+    if u != (1 - sign) / 2:
+        return pm + abs(s)
+    return pm
 
 
 def binary_f(a: float, b: float) -> float:

@@ -75,9 +75,11 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("ebn0_db", [float("nan"), float("inf"), -float("inf"),
-                                     4000.0, -4000.0])
+                                     4000.0, -4000.0, 3080.0, 1600.0])
 def test_config_rejects_unusable_snr(ebn0_db):
-    # nan gives a nan sigma^2; +-4000 dB overflows or underflows 10^(Eb/N0/10).
+    # nan gives a nan sigma^2; +-4000 dB overflows or underflows 10^(Eb/N0/10);
+    # 3080 dB gives a finite sigma^2 whose LLR scale overflows the decoder's
+    # sums, and 1600 dB an LLR scale of 2e160, over the bound.
     with pytest.raises(ValueError, match="Eb/N0"):
         ChannelConfig("awgn", ebn0_db, 0.5)
 

@@ -244,7 +244,7 @@ def test_roundtrip_zero_frames_is_diagnosed(constructed, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("ebn0", ["4000", "nan", "-4000"])
+@pytest.mark.parametrize("ebn0", ["4000", "nan", "-4000", "3080"])
 def test_unusable_snr_is_diagnosed(tmp_path, constructed, capsys, ebn0):
     cfg_path, spec_path = constructed
     cfg_sim = write_config(tmp_path, edit_config(BASE_CONFIG, ebn0_list=ebn0), "snr.cfg")

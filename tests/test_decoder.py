@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,9 @@ from hybridpolar.codespec import CodeSpec, default_frozen_set
 from hybridpolar.decoder import (_finalize, _gather_paths, _PathState, baseline_decode,
                                  baseline_decode_batch, baseline_sc_decode,
                                  combine_baseline, combine_repetitions,
-                                 genie_first_errors, permute_llr, pm_update,
+                                 genie_first_errors, permute_llr,
                                  sc_decode, scl_decode, scl_decode_batch,
-                                 stage1_bit_llr, stage1_recursive_update,
-                                 stage2_minus, stage2_plus)
+                                 stage1_bit_llr, stage2_minus, stage2_plus)
 from hybridpolar.galois import build_field
 
 GF4 = build_field(2)
@@ -210,29 +211,32 @@ def test_stage1_recursive_tprime1_reduces_to_binary_minsum():
     for _ in range(1000):
         a, b = rng.normal(size=2) * 4
         s = np.array([0.0, a, b, a + b])
-        plus = stage1_recursive_update(s, "plus")
+        plus = oracles.stage1_recursive_update(s, "plus")
         assert np.isclose(plus[1], oracles.binary_f(a, b), atol=1e-12)
+        assert np.isclose(plus[1], stage1_bit_llr(s, [], 0, 2, "recursive"), atol=1e-12)
         for u0 in (0, 1):
-            minus = stage1_recursive_update(s, "minus", u0)
+            minus = oracles.stage1_recursive_update(s, "minus", u0)
             assert np.isclose(minus[1], oracles.binary_g(a, b, u0), atol=1e-12)
+            assert np.isclose(minus[1], stage1_bit_llr(s, [u0], 1, 2, "recursive"),
+                              atol=1e-12)
 
 
 def test_stage1_recursive_zero_vectors():
-    assert np.array_equal(stage1_recursive_update(np.zeros(16), "plus"), np.zeros(4))
-    assert np.array_equal(stage1_recursive_update(np.zeros(16), "minus", 0), np.zeros(4))
+    assert np.array_equal(oracles.stage1_recursive_update(np.zeros(16), "plus"), np.zeros(4))
+    assert np.array_equal(oracles.stage1_recursive_update(np.zeros(16), "minus", 0), np.zeros(4))
 
 
 def test_stage1_recursive_needs_u0_for_minus():
     with pytest.raises(ValueError):
-        stage1_recursive_update(np.zeros(4), "minus")
+        oracles.stage1_recursive_update(np.zeros(4), "minus")
     with pytest.raises(ValueError):
-        stage1_recursive_update(np.zeros(8), "plus")
+        oracles.stage1_recursive_update(np.zeros(8), "plus")
 
 
 def test_recursive_layering_equals_one_shot_extraction():
-    # Composing the layered updates bit by bit must reproduce the direct
-    # minimisation for the recursive-variant kernel map: normalisation
-    # constants cancel in every bit-LLR difference.
+    # Composing the layered updates bit by bit must reproduce the one-shot
+    # table lookup the decoder runs for the recursive-variant kernel map:
+    # normalisation constants cancel in every bit-LLR difference.
     rng = np.random.default_rng(6)
     for _ in range(200):
         s = rng.normal(size=16) * 3
@@ -240,36 +244,47 @@ def test_recursive_layering_equals_one_shot_extraction():
         for bits in range(16):
             u = [(bits >> j) & 1 for j in range(4)]
             # bit 0: plus down two layers
-            s_low = stage1_recursive_update(s, "plus")
-            b0 = stage1_recursive_update(s_low, "plus")[1]
-            assert np.isclose(b0, oracles.stage1_bit_llr_enum(s, [], 0, 4, "recursive"),
+            s_low = oracles.stage1_recursive_update(s, "plus")
+            b0 = oracles.stage1_recursive_update(s_low, "plus")[1]
+            assert np.isclose(b0, stage1_bit_llr(s, [], 0, 4, "recursive"),
                               atol=1e-9)
             # bit 1 given u0
-            b1 = stage1_recursive_update(s_low, "minus", u[0])[1]
-            assert np.isclose(b1, oracles.stage1_bit_llr_enum(s, u[:1], 1, 4, "recursive"),
+            b1 = oracles.stage1_recursive_update(s_low, "minus", u[0])[1]
+            assert np.isclose(b1, stage1_bit_llr(s, u[:1], 1, 4, "recursive"),
                               atol=1e-9)
             # bits 2 and 3 after feeding back the first half-symbol
             w0 = (u[0] ^ u[1]) | (u[1] << 1)
-            s_high = stage1_recursive_update(s, "minus", w0)
-            b2 = stage1_recursive_update(s_high, "plus")[1]
-            assert np.isclose(b2, oracles.stage1_bit_llr_enum(s, u[:2], 2, 4, "recursive"),
+            s_high = oracles.stage1_recursive_update(s, "minus", w0)
+            b2 = oracles.stage1_recursive_update(s_high, "plus")[1]
+            assert np.isclose(b2, stage1_bit_llr(s, u[:2], 2, 4, "recursive"),
                               atol=1e-9)
-            b3 = stage1_recursive_update(s_high, "minus", u[2])[1]
-            assert np.isclose(b3, oracles.stage1_bit_llr_enum(s, u[:3], 3, 4, "recursive"),
+            b3 = oracles.stage1_recursive_update(s_high, "minus", u[2])[1]
+            assert np.isclose(b3, stage1_bit_llr(s, u[:3], 3, 4, "recursive"),
                               atol=1e-9)
 
 
 # --- Path metric ------------------------------------------------------------------
 
 def test_pm_update_examples():
-    assert pm_update(1.0, 3.0, 0) == 1.0
-    assert pm_update(1.0, 3.0, 1) == 4.0
-    assert pm_update(2.0, 0.0, 0) == 2.0
-    assert pm_update(2.0, 0.0, 1) == 2.0
-    assert pm_update(0.0, -1.5, 1) == 0.0
-    assert pm_update(0.0, -1.5, 0) == 1.5
+    # The batched branch and frozen-bit penalties of decide_bit against the
+    # scalar oracle, sign(0) = +1 included.
+    assert oracles.pm_update(1.0, 3.0, 1) == 4.0
+    assert oracles.pm_update(0.0, -1.5, 0) == 1.5
     with pytest.raises(ValueError):
-        pm_update(-1.0, 0.0, 0)
+        oracles.pm_update(-1.0, 0.0, 0)
+    pm = np.array([1.0, 1.0, 2.0, 0.0, 0.5, 3.0])
+    s = np.array([3.0, -3.0, 0.0, -1.5, -0.0, 2.5])
+    branch = _PathState(len(pm), 2, 2, np.zeros(2, dtype=bool), "list")
+    branch.pm = pm[:, None].copy()
+    branch.decide_bit(s[:, None], 0)
+    frozen = _PathState(len(pm), 2, 2, np.array([True, False]), "list")
+    frozen.pm = pm[:, None].copy()
+    bits, _ = frozen.decide_bit(s[:, None], 0)
+    assert not bits.any()
+    for f in range(len(pm)):
+        assert branch.pm[f].tolist() == [oracles.pm_update(pm[f], s[f], 0),
+                                         oracles.pm_update(pm[f], s[f], 1)]
+        assert frozen.pm[f, 0] == oracles.pm_update(pm[f], s[f], 0)
 
 
 def test_pruning_keeps_l_smallest_with_stable_ties():
@@ -553,3 +568,32 @@ def test_batch_split_invariance(seed, frames, data, list_size, family, mode, crc
     for field in ("u_hat", "crc_pass", "chosen_pm", "list_rank", "all_u", "all_pm"):
         joined = np.concatenate([getattr(p, field) for p in parts])
         assert np.array_equal(getattr(whole, field), joined), field
+
+
+@pytest.mark.parametrize("mode", ["SC", "genie", "List"])
+def test_unknown_mode_is_rejected(mode):
+    # "SC" used to run the list branching without frozen-bit penalties
+    # (every metric 0.0) and "genie" ended in a TypeError on genie_u.
+    spec_h = spec_for(n=16, k=8, t=2, r=2)
+    spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
+    with pytest.raises(ValueError, match="mode"):
+        scl_decode_batch(spec_h, np.ones((1, 8, 4)), 4, mode=mode)
+    with pytest.raises(ValueError, match="mode"):
+        baseline_decode_batch(spec_b, np.ones((1, 32)), 4, mode=mode)
+
+
+def test_decode_leaves_no_path_state_behind():
+    # A decode's _PathState (its trace and parent maps) must be freed when
+    # the call returns, not held by a reference cycle until the cyclic
+    # collector runs.
+    rng = np.random.default_rng(21)
+    spec_h = spec_for(n=16, k=8, t=2, r=2)
+    spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
+    gc.collect()
+    gc.disable()
+    try:
+        scl_decode_batch(spec_h, rng.normal(size=(3, 8, 4)), 4)
+        baseline_decode_batch(spec_b, rng.normal(size=(3, 32)), 4)
+        assert not any(isinstance(o, _PathState) for o in gc.get_objects())
+    finally:
+        gc.enable()
