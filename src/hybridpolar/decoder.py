@@ -15,11 +15,13 @@ Decoding a hybrid frame has four parts:
 4. decided bits update the path metric, list paths branch two ways on
    every unfrozen bit and are pruned back to the L smallest metrics,
    and the re-packed symbol is fed back into the Stage-2 recursion.
-   No path copies its decisions: each is stored once with its parent
-   pointers, and one backtrack at the end reads out every survivor.
+   A frozen (rate-0) subtree is skipped: it decodes to zero with a
+   closed-form penalty (:func:`stage2_rate0_penalty`).  Decisions are
+   stored once with their parent pointers, not copied per path, and
+   one backtrack at the end reads out every survivor.
 
 One recursion, :func:`_span`, serves both schemes: the baseline polar-repetition
-scheme swaps in scalar LLRs, the binary min-sum pair f/g and a one-bit leaf.
+scheme swaps in scalar LLRs and binary kernels (min-sum f/g, one-bit leaf, rate-0 penalty).
 
 Everything here is vectorised across list paths and across a batch of
 independent frames: one decoder invocation carries arrays shaped
@@ -70,17 +72,21 @@ def combine_repetitions(s_in: np.ndarray, coefficients: np.ndarray,
     """
     s_in = np.asarray(s_in, dtype=np.float64)
     coefficients = np.asarray(coefficients, dtype=np.int64)
-    r_minus_1, n2 = coefficients.shape[-2], coefficients.shape[-1]
-    r = r_minus_1 + 1
-    if s_in.shape[-2] != r * n2:
-        raise ValueError(
-            f"expected {r * n2} symbol LLR vectors, got {s_in.shape[-2]}"
-        )
-    blocks = s_in.reshape(*s_in.shape[:-2], r, n2, s_in.shape[-1])
+    r, n2 = coefficients.shape[-2] + 1, coefficients.shape[-1]
+    if s_in.shape[:-1] != coefficients.shape[:-2] + (r * n2,):
+        raise ValueError(f"expected symbol LLR vectors of shape "
+                         f"{coefficients.shape[:-2] + (r * n2,)}, got {s_in.shape[:-1]}")
+    q = s_in.shape[-1]
+    blocks = s_in.reshape(*s_in.shape[:-2], r, n2, q)
     if r == 1:
         return blocks[..., 0, :, :].copy()
-    perms = tables.mul[coefficients]                      # (..., r-1, n2, Q)
-    rest = np.take_along_axis(blocks[..., 1:, :, :], perms, axis=-1)
+    # One flat take.  Each LLR vector's row offset in s_in goes into the fresh
+    # index array in place, one axis at a time, so no index-sized temporary is made.
+    idx = tables.mul[coefficients]
+    view = idx.reshape(-1, r - 1, n2, q)
+    view += q * n2 * (r * np.arange(len(view))[:, None] + np.arange(1, r))[..., None, None]
+    view += q * np.arange(n2)[:, None]
+    rest = np.take(blocks, idx)
     return blocks[..., 0, :, :] + rest.sum(axis=-3)
 
 
@@ -111,12 +117,23 @@ def stage2_minus(s_plus: np.ndarray, s_minus: np.ndarray,
     s_plus = np.asarray(s_plus, dtype=np.float64)
     s_minus = np.asarray(s_minus, dtype=np.float64)
     q = s_plus.shape[-1]
-    u0 = np.asarray(u0, dtype=np.int64)
-    idx = u0[..., None] ^ np.arange(q)
-    shifted = np.take_along_axis(np.broadcast_to(s_plus, idx.shape[:-1] + (q,)),
-                                 idx, axis=-1)
+    # One flat take of s_plus[..., u0 ^ s]: each row's offset plus u0 ^ s within the row.
     # shifted[..., 0] is s_plus[u0 ^ 0] = s_plus[u0].
+    rows = q * np.arange(s_plus.size // q).reshape(s_plus.shape[:-1] + (1,))
+    shifted = np.take(s_plus, rows + (np.asarray(u0, dtype=np.int64)[..., None] ^ np.arange(q)))
     return shifted + s_minus - shifted[..., :1] - s_minus[..., :1]
+
+
+def stage2_rate0_penalty(s: np.ndarray) -> np.ndarray:
+    """Sum of the frozen-bit penalties max(-llr, 0) of an all-frozen span.
+
+    For the (..., length, q) input it is sum_i (s_i[0] - min s_i), by induction on the length.
+    At a leaf S, bit j costs M_{j+1} - M_j (M_j: min of S over the symbols whose first j inputs
+    are 0), which telescopes to S[0] - min S.  Halves A, B cost, per symbol pair, min(a + b) -
+    min a - min b in the left child stage2_plus(A, B) and a[0] + b[0] - min(a + b) in the right
+    child stage2_minus(A, B, 0): a[0] + b[0] - min a - min b in all.  No step needs s_i[0] = 0.
+    """
+    return (s[..., 0] - s.min(axis=-1)).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,6 +234,7 @@ class _PathState:
         self.L = list_size
         self.mode = mode
         self.frozen_mask = frozen_mask
+        self.leaf_frozen = frozen_mask  # per recursion leaf; _decode sets it per scheme
         self.pm = np.zeros((n_frames, 1))
         self.trace: list[tuple] = []
         self.origins: list[np.ndarray] = []
@@ -286,12 +304,17 @@ def _gather_paths(arr: np.ndarray, origin: np.ndarray) -> np.ndarray:
 # The SC/SCL recursion and its per-scheme kernels
 # ---------------------------------------------------------------------------
 
-def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, first: int = 0) -> np.ndarray:
+def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int) -> np.ndarray:
     """Decode the span ``s`` (frames, paths, length, ...) whose first leaf is ``first``.
 
-    ``plus``/``minus`` are the kernel's check and variable updates and
-    ``leaf(state, s, i)`` decides leaf i; returns the span's re-encoding.
+    ``plus``/``minus`` are the kernel's check and variable updates, ``leaf(state, s, i)``
+    decides leaf i and ``rate0(s)`` prices an all-frozen span; returns the re-encoding.
     """
+    if state.leaf_frozen[first:first + s.shape[2]].all():
+        # Rate 0: every decision is 0; SC metrics ignore frozen bits.
+        if state.mode == "list":
+            state.pm += rate0(s)
+        return np.zeros(s.shape[:3], dtype=np.int8)
     half = s.shape[2] // 2
     if half == 0:
         return leaf(state, s[:, :, 0], first)[:, :, None]
@@ -299,13 +322,13 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, first: int = 0) -
     # inputs, the right half the second one alone.
     s_left = plus(s[:, :, :half], s[:, :, half:])
     epoch = len(state.origins)
-    x_left = _span(state, s_left, plus, minus, leaf, first)
+    x_left = _span(state, s_left, plus, minus, leaf, rate0, first)
     origin = state.origin_since(epoch)
     if origin is not None:
         s = _gather_paths(s, origin)
     s_right = minus(s[:, :, :half], s[:, :, half:], x_left)
     epoch = len(state.origins)
-    x_right = _span(state, s_right, plus, minus, leaf, first + half)
+    x_right = _span(state, s_right, plus, minus, leaf, rate0, first + half)
     origin = state.origin_since(epoch)
     if origin is not None:
         x_left = _gather_paths(x_left, origin)
@@ -344,6 +367,11 @@ def _g_bin(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
     return b + (1.0 - 2.0 * u0) * a
 
 
+def _rate0_bin(a: np.ndarray) -> np.ndarray:
+    # max(-f, 0) + max(-(a + b), 0) = max(-a, 0) + max(-b, 0) for f = _f_bin(a, b).
+    return np.maximum(-a, 0.0).sum(axis=-1)
+
+
 def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
     """Run the recursion of ``spec.scheme`` over (frames, n/t, 2^t) or (frames, N) LLRs.
 
@@ -354,9 +382,11 @@ def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
         variant = spec.encoder_variant
         leaf = functools.partial(_symbol_leaf, stage1_block_map(spec.t, variant),
                                  stage1_leaf_table(spec.t, variant))
-        _span(state, root[:, None], stage2_plus, stage2_minus, leaf)
+        state.leaf_frozen = state.frozen_mask.reshape(-1, spec.t).all(axis=1)
+        _span(state, root[:, None], stage2_plus, stage2_minus, leaf, stage2_rate0_penalty, 0)
     else:
-        _span(state, combine_baseline(root, spec.r)[:, None], _f_bin, _g_bin, _bit_leaf)
+        _span(state, combine_baseline(root, spec.r)[:, None], _f_bin, _g_bin, _bit_leaf,
+              _rate0_bin, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Arithmetic over the binary extension fields GF(2^t), t in {1, 2, 4}.
 
 Elements are stored as integers whose binary digits are polynomial
-coefficients: bit j of the integer is the coefficient of alpha^j.  All
-field tables are built once and never mutated afterwards, so a single
-:class:`FieldTables` instance can be shared freely between concurrent
+coefficients: bit j of the integer is the coefficient of alpha^j.  Each
+field's tables are built once per process and are read-only, so a single
+:class:`FieldTables` instance is shared freely between concurrent
 encoders and decoders.
 
 Bit/symbol packing convention used by the whole codec: when a group of
@@ -13,6 +13,7 @@ of the group is the alpha^0 coefficient, i.e. value = sum_j b_j << j.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,13 +59,14 @@ class FieldTables:
         return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
 
 
+@functools.lru_cache(maxsize=None)
 def build_field(t: int, primitive_poly: int | None = None) -> FieldTables:
     """Build GF(2^t) tables, rejecting reducible or non-primitive moduli.
 
     The exp table is filled by repeated multiplication by alpha; if any
     element repeats before all q-1 nonzero elements have appeared, the
     polynomial does not have a primitive root at alpha (or is reducible)
-    and a ValueError is raised.
+    and a ValueError is raised, on every call: only built tables are cached.
     """
     if t not in SUPPORTED_DEGREES:
         raise ValueError(f"unsupported field degree t={t}; must be one of {SUPPORTED_DEGREES}")
@@ -97,6 +99,8 @@ def build_field(t: int, primitive_poly: int | None = None) -> FieldTables:
     for a in range(1, q):
         for b in range(1, q):
             mul[a, b] = exp[(log[a] + log[b]) % (q - 1)]
+    for table in (exp, log, mul):
+        table.setflags(write=False)
     return FieldTables(t=t, q=q, primitive_poly=primitive_poly, exp=exp, log=log, mul=mul)
 
 

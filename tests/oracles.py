@@ -6,7 +6,9 @@ transforms by dense Kronecker matrices, LLRs from Gaussian densities,
 and the min-sum updates by direct enumeration of the defining formulas.
 The layered Stage-1 update and the scalar path-metric step are the
 textbook per-layer and per-bit rules that the decoder replaces with one
-table lookup (Stage 1) and one batched branch (the metric).
+table lookup (Stage 1) and one batched branch (the metric).  The
+frozen-span penalty is the bit-by-bit SC sum that the decoder replaces
+with a closed form when it skips an all-frozen subtree.
 """
 
 import math
@@ -165,6 +167,31 @@ def stage1_recursive_update(s: np.ndarray, direction: str,
                                   u0[..., None], axis=-1)
         return picked - base
     raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
+
+
+def frozen_span_penalty(s, plus, minus, leaf_penalty) -> float:
+    """Total frozen-bit penalty of an all-frozen span under one-path SC.
+
+    ``s`` is the span's (length, ...) input.  The span is decoded leaf by
+    leaf with the check update ``plus``, the variable update ``minus``
+    (every decision is 0, so the left half re-encodes to zeros) and
+    ``leaf_penalty`` for the summed penalties of one leaf.
+    """
+    if len(s) == 1:
+        return leaf_penalty(s[0])
+    a, b = s[:len(s) // 2], s[len(s) // 2:]
+    zeros = np.zeros(len(a), dtype=np.int64)
+    return (frozen_span_penalty(plus(a, b), plus, minus, leaf_penalty)
+            + frozen_span_penalty(minus(a, b, zeros), plus, minus, leaf_penalty))
+
+
+def frozen_symbol_penalty(s, t: int, variant: str, bit_llr) -> float:
+    """Sum of max(-llr, 0) over the t frozen bits of one symbol, bit by bit.
+
+    ``bit_llr(s, prefix, j, t, variant)`` gives the LLR of bit j after the
+    decided (all-zero) prefix.
+    """
+    return sum(max(-bit_llr(s, [0] * j, j, t, variant), 0.0) for j in range(t))
 
 
 def pm_update(pm: float, s: float, u: int) -> float:

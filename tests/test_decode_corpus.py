@@ -1,14 +1,21 @@
-"""The decoder must reproduce the recorded decode corpus exactly.
+"""The decoder must reproduce the recorded decode corpus.
 
 See ``decode_corpus.py`` for the cases and for how the corpus was made.
-Equality is exact, path metrics included: a change to list bookkeeping
-moves no arithmetic, so it may not move a single bit of any output.
+Decisions, CRC flags, list ranks, survivors and first errors must be
+equal exactly.  Path metrics (``chosen_pm``, ``all_pm``) must agree to
+``rtol = atol = dc.PM_TOL``: the decoder adds the penalties of an
+all-frozen (rate-0) subtree as one closed-form sum over the subtree's
+inputs instead of bit by bit at its leaves.  The two are equal in exact
+arithmetic but round differently, so a metric may move in its last bits
+(about 1e-16 relative); no decision may.
 """
 
 import numpy as np
 import pytest
 
 import decode_corpus as dc
+
+PM_KEYS = ("chosen_pm", "all_pm")
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +33,11 @@ def test_decoder_reproduces_corpus(corpus, case):
     for key, got in dc.run_case(*case, inputs).items():
         expected = corpus[f"{name}__{key}"]
         assert got.shape == expected.shape, f"{name}: {key} shape"
-        assert np.array_equal(got, expected), f"{name}: {key} differs"
+        if key in PM_KEYS:
+            np.testing.assert_allclose(got, expected, rtol=dc.PM_TOL, atol=dc.PM_TOL,
+                                       err_msg=f"{name}: {key} differs")
+        else:
+            assert np.array_equal(got, expected), f"{name}: {key} differs"
 
 
 def test_corpus_exercises_list_and_crc_selection(corpus):

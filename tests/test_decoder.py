@@ -1,3 +1,4 @@
+import functools
 import gc
 
 import numpy as np
@@ -6,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from decode_corpus import PM_TOL
 from hybridpolar import channel as ch
+from hybridpolar import decoder
 from hybridpolar import encoder as enc
 from hybridpolar.codespec import CodeSpec, default_frozen_set
-from hybridpolar.decoder import (_finalize, _gather_paths, _PathState, baseline_decode,
-                                 baseline_decode_batch, baseline_sc_decode,
-                                 combine_baseline, combine_repetitions,
+from hybridpolar.decoder import (_f_bin, _finalize, _g_bin, _gather_paths, _PathState,
+                                 _rate0_bin, baseline_decode, baseline_decode_batch,
+                                 baseline_sc_decode, combine_baseline, combine_repetitions,
                                  genie_first_errors, permute_llr,
                                  sc_decode, scl_decode, scl_decode_batch,
-                                 stage1_bit_llr, stage2_minus, stage2_plus)
+                                 stage1_bit_llr, stage2_minus, stage2_plus,
+                                 stage2_rate0_penalty)
 from hybridpolar.galois import build_field
 
 GF4 = build_field(2)
@@ -22,11 +26,26 @@ GF16 = build_field(4)
 CRC6 = 0b1000011
 
 
-def spec_for(scheme="hybrid", n=16, k=8, t=2, r=2, p=0, variant="flat"):
+def spec_for(scheme="hybrid", n=16, k=8, t=2, r=2, p=0, variant="flat", frozen=None):
     return CodeSpec(scheme=scheme, n=n, k=k, t=t, r=r, p=p,
                     crc_poly=CRC6 if p else 0,
-                    frozen_set=default_frozen_set(n, k, p),
+                    frozen_set=default_frozen_set(n, k, p) if frozen is None else frozen,
                     design_snr=2.0, encoder_variant=variant)
+
+
+@st.composite
+def frozen_sets(draw, n):
+    """Frozen sets with scattered bits plus whole aligned blocks anywhere.
+
+    The blocks make all-frozen (rate-0) subtrees of every size land in
+    either half, next to partly frozen and unfrozen ones.
+    """
+    frozen = draw(st.sets(st.integers(0, n - 1), max_size=n // 4))
+    for _ in range(draw(st.integers(0, 3))):
+        size = 1 << draw(st.integers(1, n.bit_length() - 2))
+        start = size * draw(st.integers(0, n // size - 1))
+        frozen |= set(range(start, start + size))
+    return sorted(frozen)
 
 
 def hybrid_channel_llrs(spec, tables, info, rng, ebn0_db, coefficients=None):
@@ -111,6 +130,27 @@ def test_combine_matches_joint_density_oracle():
 def test_combine_rejects_length_mismatch():
     with pytest.raises(ValueError):
         combine_repetitions(np.zeros((5, 4)), np.ones((1, 2), dtype=np.int64), GF4)
+    # Coefficients for fewer frames than LLRs: one frame's offsets would
+    # otherwise be reused for every frame.
+    with pytest.raises(ValueError, match="shape"):
+        combine_repetitions(np.zeros((3, 4, 4)), np.ones((1, 2), dtype=np.int64), GF4)
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+@pytest.mark.parametrize("r", [1, 3])
+def test_combine_matches_take_along_axis(t, r):
+    # The flat take gathers exactly what take_along_axis gathers, for
+    # per-frame and for pinned (broadcast) coefficients alike.
+    gf, q, n2 = build_field(t), 1 << t, 8
+    rng = np.random.default_rng(30 + 3 * t + r)
+    s_in = rng.normal(size=(5, r * n2, q))
+    per_frame = rng.integers(1, q, size=(5, r - 1, n2))
+    pinned = np.broadcast_to(per_frame[0], per_frame.shape)
+    blocks = s_in.reshape(5, r, n2, q)
+    for rho in (per_frame, pinned):
+        rest = np.take_along_axis(blocks[:, 1:], gf.mul[rho], axis=-1)
+        expected = blocks[:, 0] + rest.sum(axis=1)
+        assert np.array_equal(combine_repetitions(s_in, rho, gf), expected)
 
 
 # --- Stage-2 updates -----------------------------------------------------------
@@ -149,6 +189,22 @@ def test_stage2_matches_enumeration_oracle():
             u0 = int(rng.integers(0, q))
             assert np.allclose(stage2_minus(sp, sm, u0),
                                oracles.stage2_minus_enum(sp, sm, u0), atol=1e-9)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_stage2_minus_matches_take_along_axis(q):
+    # _span passes strided halves of one array; one vector may also meet
+    # a batch of decided symbols.
+    rng = np.random.default_rng(40 + q)
+    s = rng.normal(size=(3, 4, 10, q))
+    s_plus, s_minus = s[:, :, :5], s[:, :, 5:]
+    u0 = rng.integers(0, q, size=(3, 4, 5))
+    shifted = np.take_along_axis(s_plus, u0[..., None] ^ np.arange(q), axis=-1)
+    expected = shifted + s_minus - shifted[..., :1] - s_minus[..., :1]
+    assert np.array_equal(stage2_minus(s_plus, s_minus, u0), expected)
+    a, b, u = s_plus[0, 0, 0], s_minus[0, 0, 0], u0[0, 0]
+    shifted = np.take_along_axis(np.broadcast_to(a, (5, q)), u[:, None] ^ np.arange(q), axis=-1)
+    assert np.array_equal(stage2_minus(a, b, u), shifted + b - shifted[:, :1] - b[0])
 
 
 def test_stage2_vectorised_over_leading_axes():
@@ -333,6 +389,56 @@ def test_gather_paths_matches_take_along_axis(shape, layout):
         ints = (arr > 0).astype(np.int8)
         assert np.array_equal(_gather_paths(ints, origin),
                               np.take_along_axis(ints, idx, axis=1))
+
+
+# --- Rate-0 (all-frozen) spans ------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([1, 2, 4]),
+       length=st.sampled_from([1, 2, 4, 8]), variant=st.sampled_from(["flat", "recursive"]))
+def test_symbol_rate0_penalty_matches_bitwise_sc(seed, t, length, variant):
+    # The closed form equals the frozen-bit penalties of a plain one-path
+    # SC pass, also for unnormalised inputs (entry 0 nonzero, as at the root).
+    rng = np.random.default_rng(seed)
+    s = rng.normal(0.5, 3.0, size=(2, 3, length, 1 << t))
+    leaf = functools.partial(oracles.frozen_symbol_penalty, t=t, variant=variant,
+                             bit_llr=stage1_bit_llr)
+    got = stage2_rate0_penalty(s)
+    assert got.shape == (2, 3)
+    for f, a in np.ndindex(2, 3):
+        expected = oracles.frozen_span_penalty(s[f, a], stage2_plus, stage2_minus, leaf)
+        assert np.isclose(got[f, a], expected, rtol=PM_TOL, atol=PM_TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([1, 2, 4, 8, 16]))
+def test_binary_rate0_penalty_matches_bitwise_sc(seed, length):
+    rng = np.random.default_rng(seed)
+    alpha = rng.normal(0.0, 3.0, size=(2, 3, length))
+    got = _rate0_bin(alpha)
+    for f, a in np.ndindex(2, 3):
+        expected = oracles.frozen_span_penalty(alpha[f, a], _f_bin, _g_bin,
+                                               lambda x: max(-x, 0.0))
+        assert np.isclose(got[f, a], expected, rtol=PM_TOL, atol=PM_TOL)
+
+
+def test_rate0_subtrees_are_not_descended(monkeypatch):
+    # With the lowest half of the leaves frozen, the check update runs
+    # only along the unfrozen right half; genie mode freezes nothing.
+    def counted(name):
+        calls = []
+        kernel = getattr(decoder, name)
+        monkeypatch.setattr(decoder, name, lambda *a: calls.append(1) or kernel(*a))
+        return calls
+    plus_calls, f_calls = counted("stage2_plus"), counted("_f_bin")
+    rng = np.random.default_rng(22)
+    spec_h = spec_for(n=16, k=8, t=2, r=2)                      # symbols 0..3 frozen
+    spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
+    scl_decode_batch(spec_h, rng.normal(size=(2, 8, 4)), 4)
+    baseline_decode_batch(spec_b, rng.normal(size=(2, 32)), 4)
+    assert (len(plus_calls), len(f_calls)) == (4, 8)          # 7 and 15 without skipping
+    genie_first_errors(spec_h, rng.normal(size=(2, 8, 4)), np.zeros((2, 16), dtype=np.int8))
+    assert len(plus_calls) == 4 + 7
 
 
 # --- End-to-end decoding ------------------------------------------------------------
@@ -568,6 +674,56 @@ def test_batch_split_invariance(seed, frames, data, list_size, family, mode, crc
     for field in ("u_hat", "crc_pass", "chosen_pm", "list_rank", "all_u", "all_pm"):
         joined = np.concatenate([getattr(p, field) for p in parts])
         assert np.array_equal(getattr(whole, field), joined), field
+
+
+def random_decoder_input(spec, rng, frames):
+    """Noisy decoder input of the right shape for either scheme."""
+    if spec.scheme == "hybrid":
+        x = rng.normal(1.0, 2.0, size=(frames, spec.n // spec.t, 1 << spec.t))
+        x[..., 0] = 0.0
+        return x
+    return rng.normal(1.0, 2.0, size=(frames, spec.N))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32),
+       family=st.sampled_from([("hybrid", 1, "flat"), ("hybrid", 2, "flat"),
+                               ("hybrid", 4, "flat"), ("hybrid", 4, "recursive"),
+                               ("polar_repetition", 1, "flat")]))
+def test_sc_equals_list_size_one(seed, frozen, family):
+    # SC's hard sign rule and a list of one path make the same decisions.
+    scheme, t, variant = family
+    spec = spec_for(scheme=scheme, n=32, k=32 - len(frozen), t=t, r=2, variant=variant,
+                    frozen=frozen)
+    x = random_decoder_input(spec, np.random.default_rng(seed), frames=4)
+    decode = scl_decode_batch if scheme == "hybrid" else baseline_decode_batch
+    sc = decode(spec, x, 1, crc_on=False, mode="sc")
+    l1 = decode(spec, x, 1, crc_on=False, mode="list")
+    assert np.array_equal(sc.u_hat, l1.u_hat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32),
+       list_size=st.sampled_from([1, 2, 4, 8]), mode=st.sampled_from(["list", "sc"]),
+       crc_on=st.booleans())
+def test_hybrid_t1_unit_rho_equals_baseline(seed, frozen, list_size, mode, crc_on):
+    # Over GF(2) with unit coefficients the hybrid code is the baseline code.
+    n, r = 32, 2
+    p = 6 if len(frozen) <= n - 6 else 0
+    spec_h, spec_b = (spec_for(scheme=scheme, n=n, k=n - p - len(frozen), t=1, r=r, p=p,
+                               frozen=frozen) for scheme in ("hybrid", "polar_repetition"))
+    llrs = np.random.default_rng(seed).normal(1.0, 2.0, size=(4, r * n))
+    s_in = np.stack([np.zeros_like(llrs), llrs], axis=-1)   # t = 1 vectors [0, llr]
+    s_inner = combine_repetitions(s_in, np.ones((4, r - 1, n), dtype=np.int64), build_field(1))
+    hyb = scl_decode_batch(spec_h, s_inner, list_size, crc_on=crc_on, return_paths=True,
+                           mode=mode)
+    base = baseline_decode_batch(spec_b, llrs, list_size, crc_on=crc_on, return_paths=True,
+                                 mode=mode)
+    for field in ("u_hat", "crc_pass", "list_rank", "all_u"):
+        assert np.array_equal(getattr(hyb, field), getattr(base, field)), field
+    for field in ("chosen_pm", "all_pm"):
+        np.testing.assert_allclose(getattr(hyb, field), getattr(base, field),
+                                   rtol=PM_TOL, atol=PM_TOL, err_msg=field)
 
 
 @pytest.mark.parametrize("mode", ["SC", "genie", "List"])

@@ -34,6 +34,23 @@ def test_wrong_degree_rejected():
         build_field(3)
 
 
+def test_build_field_is_cached_and_read_only():
+    gf = build_field(4)
+    assert build_field(4) is gf
+    for table in (gf.exp, gf.log, gf.mul):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        gf.mul[2, 3] = 0
+    assert gf.mul[2, 3] == gf_mul(2, 3, gf)
+
+
+def test_bad_modulus_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_field(4, 0b11111)
+
+
 def test_gf2_degenerate_field():
     gf = build_field(1)
     assert gf.q == 2
