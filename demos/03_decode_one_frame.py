@@ -5,9 +5,9 @@ Run with:  python demos/03_decode_one_frame.py
 
 import numpy as np
 
-from hybridpolar import ChannelConfig, bpsk_modulate, initial_llrs, scl_decode, transmit
+from hybridpolar import ChannelConfig, bpsk_modulate, initial_llrs, scl_decode_batch, transmit
 from hybridpolar.codespec import CodeSpec, construct_code, default_frozen_set
-from hybridpolar.decoder import combine_repetitions, scl_decode_batch
+from hybridpolar.decoder import combine_repetitions
 from hybridpolar.encoder import encode_hybrid
 
 rng = np.random.default_rng(3)
@@ -32,13 +32,14 @@ s_inner = combine_repetitions(s_in, cw.coefficients, tables)
 print(f"combined the {spec.r} repeated observations into "
       f"{s_inner.shape[0]} symbol LLR vectors of length {s_inner.shape[1]}")
 
+# The decoder works on batches: one frame goes in as a batch of one, row 0.
 for L in (1, 2, 8):
-    res = scl_decode(spec, s_inner, L)
-    decoded = res.u_hat[spec.unfrozen_indices()[:spec.k]]
+    res = scl_decode_batch(spec, s_inner[None], L)
+    decoded = res.u_hat[0, spec.unfrozen_indices()[:spec.k]]
     ok = np.array_equal(decoded, info)
     print(f"L = {L:2d}: decoded {'correctly' if ok else 'WRONG'}, "
-          f"crc_pass = {res.crc_pass}, path metric = {res.chosen_pm:.2f}, "
-          f"picked list rank {res.list_rank}")
+          f"crc_pass = {res.crc_pass[0]}, path metric = {res.chosen_pm[0]:.2f}, "
+          f"picked list rank {res.list_rank[0]}")
 
 out = scl_decode_batch(spec, s_inner[None], 8, return_paths=True)
 print("\nfinal path metrics of the L = 8 survivors:")

@@ -8,7 +8,7 @@ construct, simulate and analyse them:
 * ``codespec`` -- code parameters, Monte-Carlo construction, persistence
 * ``encoder``  -- CRC, two-stage outer encoding, both inner codes
 * ``channel``  -- BPSK over AWGN / Rayleigh block fading, symbol LLRs
-* ``decoder``  -- SC and CRC-aided SCL decoding for both schemes
+* ``decoder``  -- batched SC and CRC-aided SCL decoding for both schemes
 * ``analysis`` -- operation counts, weight spectra, union bound
 * ``cli``      -- the ``hybridpolar`` command-line harness
 """
@@ -18,13 +18,10 @@ from .analysis import (ComplexityReport, WeightHistogram, brute_force_weights,
 from .channel import ChannelConfig, bpsk_modulate, initial_llrs, transmit
 from .codespec import (CodeSpec, construct_code, default_frozen_set, load_spec,
                        monte_carlo_construct, save_spec)
-from .decoder import (DecodeResult, baseline_decode, combine_repetitions,
-                      permute_llr, sc_decode, scl_decode, stage1_bit_llr,
-                      stage2_minus, stage2_plus)
-from .encoder import (Codeword, MessageFrame, crc_attach, crc_check,
-                      encode_baseline, encode_hybrid, encode_stage1,
-                      encode_stage2, multiplicative_repeat,
-                      polar_transform_binary)
+from .decoder import (baseline_decode_batch, combine_repetitions, scl_decode_batch,
+                      stage1_bit_llr, stage2_minus, stage2_plus)
+from .encoder import (Codeword, crc_attach, crc_check, encode_baseline, encode_hybrid,
+                      encode_stage1, encode_stage2, multiplicative_repeat)
 from .galois import (FieldTables, build_field, gf_add, gf_mul, pack_bits,
                      unpack_symbol)
 

@@ -95,7 +95,6 @@ def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.nda
     channel state information is assumed, so h is returned as-is.
     """
     x = np.asarray(x, dtype=np.float64)
-    sigma = float(np.sqrt(cfg.sigma2))
     if cfg.kind == "awgn":
         h = np.ones_like(x)
     else:
@@ -105,8 +104,7 @@ def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.nda
             raise ValueError(f"fading_blocks={b} does not divide sample count {n_samples}")
         gains = rng.rayleigh(scale=np.sqrt(0.5), size=(*x.shape[:-1], b))
         h = np.repeat(gains, n_samples // b, axis=-1)
-    w = rng.normal(0.0, sigma, size=x.shape) if sigma > 0 else np.zeros_like(x)
-    return h * x + w, h
+    return h * x + rng.normal(0.0, np.sqrt(cfg.sigma2), size=x.shape), h
 
 
 def initial_llrs(y: np.ndarray, h: np.ndarray, sigma2: float, t: int) -> np.ndarray:

@@ -76,7 +76,10 @@ class CodeSpec:
             fail("r", "needs at least one repetition")
         if self.N != self.n * self.r:
             fail("N", f"{self.N} != n*r = {self.n * self.r}")
-        if self.k < 0 or self.p < 0 or self.k + self.p > self.n:
+        for name in ("k", "p"):
+            if getattr(self, name) < 0:
+                fail(name, f"{getattr(self, name)} is negative")
+        if self.k + self.p > self.n:
             fail("k", f"k+p = {self.k + self.p} exceeds n = {self.n}")
         if self.k > self.N:
             fail("k", "rate k/N exceeds 1")
@@ -162,8 +165,6 @@ def monte_carlo_construct(params: CodeSpec, trials: int, seed: int,
     counts freeze the lower index first.
     """
     n_frozen = params.n - params.k - params.p
-    if n_frozen < 0:
-        raise ValueError(f"k+p = {params.k + params.p} exceeds n = {params.n}")
     if n_frozen == 0:
         return ()
     counts = first_error_counts(params, trials, seed, batch=batch)

@@ -29,7 +29,9 @@ independent frames: one decoder invocation carries arrays shaped
 and the frame-error simulations get their throughput.  Path pruning
 keeps exactly the L smallest metrics with ties resolved toward the
 lower path index, so results are reproducible and independent of the
-batch size.
+batch size.  The entry points are batch-only (:func:`scl_decode_batch`,
+:func:`baseline_decode_batch`, :func:`genie_first_errors`): a single
+frame x decodes as x[None], and its result is row 0.
 """
 
 from __future__ import annotations
@@ -50,17 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 # Elementary LLR-vector operations
 # ---------------------------------------------------------------------------
-
-def permute_llr(s: np.ndarray, rho: int, tables: FieldTables) -> np.ndarray:
-    """Reindex an LLR vector for an observation scaled by rho.
-
-    out[v] = s[rho * v]; entry 0 is fixed and the nonzero entries shift
-    cyclically in the exponent domain.
-    """
-    if rho == 0:
-        raise ValueError("repetition coefficient must be nonzero")
-    return np.asarray(s)[..., tables.mul[rho]]
-
 
 def combine_repetitions(s_in: np.ndarray, coefficients: np.ndarray,
                         tables: FieldTables) -> np.ndarray:
@@ -179,16 +170,6 @@ def stage1_bit_llr(s: np.ndarray, u_prefix, i: int, t: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of decoding one frame."""
-
-    u_hat: np.ndarray
-    crc_pass: bool
-    chosen_pm: float
-    list_rank: int
-
-
-@dataclass(frozen=True)
 class BatchDecodeResult:
     """Vectorised outcome for a batch of frames.
 
@@ -203,14 +184,6 @@ class BatchDecodeResult:
     list_rank: np.ndarray
     all_u: np.ndarray | None = None
     all_pm: np.ndarray | None = None
-
-    def frame(self, f: int) -> DecodeResult:
-        return DecodeResult(
-            u_hat=self.u_hat[f].copy(),
-            crc_pass=bool(self.crc_pass[f]),
-            chosen_pm=float(self.chosen_pm[f]),
-            list_rank=int(self.list_rank[f]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +428,6 @@ def scl_decode_batch(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,
     return _list_decode(spec, s_inner, list_size, crc_on, return_paths, mode)
 
 
-def scl_decode(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,
-               crc_on: bool = True) -> DecodeResult:
-    """Single-frame wrapper around :func:`scl_decode_batch`."""
-    return scl_decode_batch(spec, np.asarray(s_inner)[None], list_size,
-                            crc_on=crc_on).frame(0)
-
-
-def sc_decode(spec: "CodeSpec", s_inner: np.ndarray) -> DecodeResult:
-    """Plain successive cancellation (hard sign rule on every unfrozen bit)."""
-    return scl_decode_batch(spec, np.asarray(s_inner)[None], 1,
-                            crc_on=False, mode="sc").frame(0)
-
-
 def combine_baseline(bit_llrs: np.ndarray, r: int) -> np.ndarray:
     """Sum the r repeated copies of each coded bit's LLR."""
     bit_llrs = np.asarray(bit_llrs, dtype=np.float64)
@@ -485,19 +445,6 @@ def baseline_decode_batch(spec: "CodeSpec", bit_llrs: np.ndarray, list_size: int
     if bit_llrs.ndim != 2 or bit_llrs.shape[1] != spec.N:
         raise ValueError(f"bit_llrs must have shape (frames, {spec.N})")
     return _list_decode(spec, bit_llrs, list_size, crc_on, return_paths, mode)
-
-
-def baseline_decode(spec: "CodeSpec", bit_llrs: np.ndarray, list_size: int,
-                    crc_on: bool = True) -> DecodeResult:
-    """Single-frame wrapper around :func:`baseline_decode_batch`."""
-    return baseline_decode_batch(spec, np.asarray(bit_llrs)[None], list_size,
-                                 crc_on=crc_on).frame(0)
-
-
-def baseline_sc_decode(spec: "CodeSpec", bit_llrs: np.ndarray) -> DecodeResult:
-    """Baseline counterpart of :func:`sc_decode`."""
-    return baseline_decode_batch(spec, np.asarray(bit_llrs)[None], 1,
-                                 crc_on=False, mode="sc").frame(0)
 
 
 def genie_first_errors(spec: "CodeSpec", channel_input, true_u: np.ndarray) -> np.ndarray:

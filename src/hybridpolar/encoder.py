@@ -16,12 +16,17 @@ Two Stage-1 variants exist and produce different codes for t = 4:
                   the outputs regrouped layer by layer, which works out
                   to the plain Kronecker power without bit reversal.
 
+Either kernel is tabulated once over all 2^t tuples
+(:func:`stage1_block_map`), so Stage-1 encoding is one table lookup.
+
 The baseline scheme is an ordinary binary polar code whose codeword is
-repeated r times verbatim.
+repeated r times verbatim.  Every transform here works on the last
+axis, batched over any leading axes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -121,11 +126,6 @@ def polar_transform(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def polar_transform_binary(v: np.ndarray) -> np.ndarray:
-    """Binary codomain wrapper around :func:`polar_transform`."""
-    return polar_transform(np.asarray(v, dtype=np.int8))
-
-
 def bit_reversal_permutation(t: int) -> np.ndarray:
     """Index permutation reversing the binary digits of 0..t-1."""
     m = t.bit_length() - 1
@@ -139,48 +139,36 @@ def bit_reversal_permutation(t: int) -> np.ndarray:
     return rev
 
 
+@functools.lru_cache(maxsize=None)
 def stage1_block_map(t: int, variant: str) -> np.ndarray:
     """Lookup table from a packed t-bit input tuple to its Stage-1 symbol.
 
     Entry w is the packed transform of the tuple whose j-th bit is
-    (w >> j) & 1.  The decoder uses the same table to re-pack decided
-    bits into the symbol fed back to Stage 2.
+    (w >> j) & 1.  :func:`encode_stage1` is one lookup in it, and the
+    decoder uses the same table to re-pack decided bits into the symbol
+    fed back to Stage 2.  Cached and read-only.
     """
     if variant not in ("flat", "recursive"):
         raise ValueError(f"unknown encoder variant {variant!r}")
     tuples = unpack_symbol_array(np.arange(1 << t, dtype=np.int64), t)
     if variant == "flat" and t > 1:
         tuples = tuples[:, bit_reversal_permutation(t)]
-    return pack_bits_array(polar_transform(tuples))
+    block_map = pack_bits_array(polar_transform(tuples))
+    block_map.setflags(write=False)
+    return block_map
 
 
 def encode_stage1(u: np.ndarray, t: int, variant: str) -> np.ndarray:
-    """Transform n input bits into n/t Stage-1 symbols.
+    """Transform (..., n) input bits into (..., n/t) Stage-1 symbols.
 
-    The flat variant multiplies each t-tuple by the bit-reversed
-    Kronecker kernel in one shot.  The recursive variant applies G_2
-    pairwise over subfields of doubling size, regrouping after every
-    layer; for t <= 2 the two variants coincide.
+    Each group of t bits is packed and mapped through
+    :func:`stage1_block_map`.
     """
-    u = np.asarray(u, dtype=np.int64)
+    u = np.asarray(u)
     n = u.shape[-1]
     if n % t:
         raise ValueError(f"t={t} does not divide n={n}")
-    if variant == "flat":
-        groups = u.reshape(*u.shape[:-1], n // t, t)
-        if t > 1:
-            groups = groups[..., bit_reversal_permutation(t)]
-        return pack_bits_array(polar_transform(groups))
-    if variant == "recursive":
-        symbols = u.copy()
-        width = 1
-        while width < t:
-            low = symbols[..., 0::2]
-            high = symbols[..., 1::2]
-            symbols = (low ^ high) | (high << width)
-            width *= 2
-        return symbols
-    raise ValueError(f"unknown encoder variant {variant!r}")
+    return stage1_block_map(t, variant)[pack_bits_array(u.reshape(*u.shape[:-1], n // t, t))]
 
 
 def encode_stage2(a: np.ndarray) -> np.ndarray:
@@ -191,15 +179,6 @@ def encode_stage2(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Message assembly
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MessageFrame:
-    """One outer-code input block: info bits, CRC bits and the u vector."""
-
-    info_bits: np.ndarray
-    crc_bits: np.ndarray
-    u: np.ndarray
-
 
 def message_u(info_bits: np.ndarray, spec: "CodeSpec") -> np.ndarray:
     """CRC-extend (..., k) payloads and scatter them into (..., n) u vectors.
@@ -213,21 +192,6 @@ def message_u(info_bits: np.ndarray, spec: "CodeSpec") -> np.ndarray:
     u = np.zeros(info_bits.shape[:-1] + (spec.n,), dtype=np.int8)
     u[..., spec.unfrozen_indices()] = crc_attach(info_bits, spec.crc_poly, spec.p)
     return u
-
-
-def make_message_frame(info_bits: np.ndarray, spec: "CodeSpec") -> MessageFrame:
-    """:func:`message_u` with the payload parts kept apart."""
-    u = message_u(info_bits, spec)
-    return MessageFrame(info_bits=np.asarray(info_bits, dtype=np.int8),
-                        crc_bits=u[..., spec.unfrozen_indices()[spec.k:]], u=u)
-
-
-def validate_input_vector(u: np.ndarray, spec: "CodeSpec") -> None:
-    """Reject u vectors that set a frozen position to a nonzero value."""
-    u = np.asarray(u)
-    frozen = np.fromiter(spec.frozen_set, dtype=np.int64) if spec.frozen_set else None
-    if frozen is not None and frozen.size and np.any(u[frozen] != 0):
-        raise ValueError("frozen positions of u must be zero")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +286,7 @@ def encode_u_vector(u: np.ndarray, spec: "CodeSpec", tables: FieldTables | None,
     enumeration re-encodes decoded u vectors with it.
     """
     if spec.scheme == "polar_repetition":
-        return np.tile(polar_transform_binary(u), spec.r)
+        return np.tile(polar_transform(np.asarray(u, dtype=np.int8)), spec.r)
     z = encode_stage2(encode_stage1(u, spec.t, spec.encoder_variant))
     return multiplicative_repeat(z, spec.r, tables, coefficients=coefficients).symbols
 

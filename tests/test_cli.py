@@ -98,6 +98,16 @@ def test_construct_rejects_bad_channel(tmp_path, capsys, kv, word):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kv,word", [(dict(k=-3), "'k': -3 is negative"),
+                                     (dict(crc_len=-2), "'p': -2 is negative")])
+def test_construct_rejects_negative_lengths(tmp_path, capsys, kv, word):
+    cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, **kv))
+    out = tmp_path / "x.spec"
+    assert cli.main(["construct", str(cfg_path), "-o", str(out)]) == 1
+    assert_one_error_line(capsys, word)
+    assert not out.exists()
+
+
 # --- construct ----------------------------------------------------------------------
 
 def test_construct_writes_spec_and_is_deterministic(tmp_path):

@@ -48,6 +48,15 @@ def test_rejects_overfull_payload():
         valid_spec(k=30, frozen_set=())
 
 
+@pytest.mark.parametrize("name,overrides", [
+    ("k", dict(k=-3, frozen_set=default_frozen_set(32, -3, 6))),
+    ("p", dict(p=-2, crc_poly=0, frozen_set=default_frozen_set(32, 12, -2)))])
+def test_rejects_negative_payload_length(name, overrides):
+    # Not "k+p = ... exceeds n": the message names the negative field.
+    with pytest.raises(ValueError, match=f"field '{name}': -[0-9]+ is negative"):
+        valid_spec(**overrides)
+
+
 def test_rejects_crc_poly_degree_mismatch():
     with pytest.raises(ValueError, match="'crc_poly'"):
         valid_spec(crc_poly=0b1011)

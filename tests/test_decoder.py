@@ -13,10 +13,8 @@ from hybridpolar import decoder
 from hybridpolar import encoder as enc
 from hybridpolar.codespec import CodeSpec, default_frozen_set
 from hybridpolar.decoder import (_f_bin, _finalize, _g_bin, _gather_paths, _PathState,
-                                 _rate0_bin, baseline_decode, baseline_decode_batch,
-                                 baseline_sc_decode, combine_baseline, combine_repetitions,
-                                 genie_first_errors, permute_llr,
-                                 sc_decode, scl_decode, scl_decode_batch,
+                                 _rate0_bin, baseline_decode_batch, combine_baseline,
+                                 combine_repetitions, genie_first_errors, scl_decode_batch,
                                  stage1_bit_llr, stage2_minus, stage2_plus,
                                  stage2_rate0_penalty)
 from hybridpolar.galois import build_field
@@ -59,14 +57,19 @@ def hybrid_channel_llrs(spec, tables, info, rng, ebn0_db, coefficients=None):
 
 # --- permutations and repetition combining -----------------------------------
 
+def depermute(s, rho, tables):
+    """The combined LLRs of one symbol seen as (0, s) with coefficient rho: s[rho * v]."""
+    return combine_repetitions(np.stack([np.zeros_like(s), s]), np.array([[rho]]), tables)[0]
+
+
 def test_permute_identity():
     s = np.array([0.0, 1.0, 2.0, 3.0])
-    assert np.array_equal(permute_llr(s, 1, GF4), s)
+    assert np.array_equal(depermute(s, 1, GF4), s)
 
 
 def test_permute_gf4_alpha_cycles():
     s = np.array([0.0, 10.0, 20.0, 30.0])
-    out = permute_llr(s, 0b10, GF4)
+    out = depermute(s, 0b10, GF4)
     assert list(out) == [0.0, 20.0, 30.0, 10.0]
 
 
@@ -76,14 +79,9 @@ def test_permute_group_action():
     s[0] = 0.0
     for r1 in range(1, 16):
         for r2 in range(1, 16):
-            lhs = permute_llr(permute_llr(s, r1, GF16), r2, GF16)
-            rhs = permute_llr(s, int(GF16.mul[r1, r2]), GF16)
+            lhs = depermute(depermute(s, r1, GF16), r2, GF16)
+            rhs = depermute(s, int(GF16.mul[r1, r2]), GF16)
             assert np.array_equal(lhs, rhs)
-
-
-def test_permute_rejects_zero():
-    with pytest.raises(ValueError):
-        permute_llr(np.zeros(4), 0, GF4)
 
 
 def test_combine_r1_passthrough():
@@ -450,24 +448,9 @@ def test_scl_l1_matches_sc_rule():
     for _ in range(50):
         info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
         s_inner = hybrid_channel_llrs(spec, tables, info, rng, ebn0_db=1.0)
-        res_l1 = scl_decode(spec, s_inner, 1, crc_on=False)
-        res_sc = sc_decode(spec, s_inner)
+        res_l1 = scl_decode_batch(spec, s_inner[None], 1, crc_on=False)
+        res_sc = scl_decode_batch(spec, s_inner[None], 1, crc_on=False, mode="sc")
         assert np.array_equal(res_l1.u_hat, res_sc.u_hat)
-
-
-def test_noiseless_roundtrip_sweep():
-    rng = np.random.default_rng(8)
-    for t, variant in [(1, "flat"), (2, "flat"), (2, "recursive"),
-                       (4, "flat"), (4, "recursive")]:
-        spec = spec_for(n=64, k=30, t=t, r=2, p=6, variant=variant)
-        tables = spec.field_tables()
-        for L in (1, 4):
-            info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
-            s_inner = hybrid_channel_llrs(spec, tables, info, rng, ebn0_db=60.0)
-            res = scl_decode(spec, s_inner, L)
-            got = res.u_hat[spec.unfrozen_indices()[:spec.k]]
-            assert np.array_equal(got, info)
-            assert res.crc_pass
 
 
 def test_all_frozen_code_decodes_to_zero():
@@ -475,7 +458,7 @@ def test_all_frozen_code_decodes_to_zero():
     rng = np.random.default_rng(9)
     s_inner = rng.normal(size=(8, 4))
     s_inner[:, 0] = 0.0
-    res = scl_decode(spec, s_inner, 4, crc_on=False)
+    res = scl_decode_batch(spec, s_inner[None], 4, crc_on=False)
     assert not res.u_hat.any()
 
 
@@ -505,8 +488,8 @@ def test_coefficient_transparency_noiseless():
         rho = rng.integers(1, 4, size=(spec.r - 1, spec.n // spec.t))
         s_rho = hybrid_channel_llrs(spec, tables, info, rng, 60.0, coefficients=rho)
         s_one = hybrid_channel_llrs(spec, tables, info, rng, 60.0, coefficients=ones)
-        r_rho = scl_decode(spec, s_rho, 2, crc_on=False)
-        r_one = scl_decode(spec, s_one, 2, crc_on=False)
+        r_rho = scl_decode_batch(spec, s_rho[None], 2, crc_on=False)
+        r_one = scl_decode_batch(spec, s_one[None], 2, crc_on=False)
         assert np.array_equal(r_rho.u_hat, r_one.u_hat)
 
 
@@ -553,11 +536,11 @@ def test_chosen_path_respects_crc_selection():
     for _ in range(200):
         info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
         s_inner = hybrid_channel_llrs(spec, tables, info, rng, ebn0_db=-1.0)
-        res = scl_decode(spec, s_inner, 8)
-        if res.crc_pass:
-            payload = res.u_hat[spec.unfrozen_indices()]
+        res = scl_decode_batch(spec, s_inner[None], 8)
+        if res.crc_pass[0]:
+            payload = res.u_hat[0, spec.unfrozen_indices()]
             assert enc.crc_check(payload, spec.crc_poly, spec.p)
-        picked_rank_gt0 += int(res.list_rank > 0)
+        picked_rank_gt0 += int(res.list_rank[0] > 0)
     assert picked_rank_gt0 > 0  # CRC must actually rescue some frames
 
 
@@ -566,19 +549,6 @@ def test_chosen_path_respects_crc_selection():
 def test_baseline_copy_combining():
     llrs = np.tile(np.array([1.5, -2.0, 0.5, 3.0]), 4)
     assert np.allclose(combine_baseline(llrs, 4), 4 * np.array([1.5, -2.0, 0.5, 3.0]))
-
-
-def test_baseline_noiseless_roundtrip():
-    rng = np.random.default_rng(15)
-    spec = spec_for(scheme="polar_repetition", n=64, k=30, t=1, r=4, p=6)
-    cfg = ch.ChannelConfig("awgn", 60.0, spec.rate)
-    for L in (1, 4):
-        info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
-        x = 1.0 - 2.0 * enc.encode_baseline(info, spec).symbols
-        y, h = ch.transmit(x, cfg, rng)
-        llrs = (2.0 / cfg.sigma2) * h * y
-        res = baseline_decode(spec, llrs, L)
-        assert np.array_equal(res.u_hat[spec.unfrozen_indices()[:spec.k]], info)
 
 
 def test_baseline_scl_l1_matches_sc():
@@ -590,8 +560,9 @@ def test_baseline_scl_l1_matches_sc():
         x = 1.0 - 2.0 * enc.encode_baseline(info, spec).symbols
         y, h = ch.transmit(x, cfg, rng)
         llrs = (2.0 / cfg.sigma2) * h * y
-        assert np.array_equal(baseline_decode(spec, llrs, 1, crc_on=False).u_hat,
-                              baseline_sc_decode(spec, llrs).u_hat)
+        assert np.array_equal(baseline_decode_batch(spec, llrs[None], 1, crc_on=False).u_hat,
+                              baseline_decode_batch(spec, llrs[None], 1, crc_on=False,
+                                                    mode="sc").u_hat)
 
 
 def test_hybrid_t1_unit_rho_matches_baseline_decisions():
@@ -611,8 +582,8 @@ def test_hybrid_t1_unit_rho_matches_baseline_decisions():
         s_inner = combine_repetitions(s_in, ones, gf2)
         llrs = (2.0 / cfg.sigma2) * h * y
         for L in (1, 4):
-            res_h = scl_decode(spec_h, s_inner, L)
-            res_b = baseline_decode(spec_b, llrs, L)
+            res_h = scl_decode_batch(spec_h, s_inner[None], L)
+            res_b = baseline_decode_batch(spec_b, llrs[None], L)
             assert np.array_equal(res_h.u_hat, res_b.u_hat)
 
 
@@ -644,9 +615,9 @@ def test_batch_and_single_frame_agree():
         s_list.append(hybrid_channel_llrs(spec, tables, info, rng, 0.0))
     batch = scl_decode_batch(spec, np.stack(s_list), 4)
     for f in range(5):
-        single = scl_decode(spec, s_list[f], 4)
-        assert np.array_equal(batch.u_hat[f], single.u_hat)
-        assert batch.chosen_pm[f] == single.chosen_pm
+        single = scl_decode_batch(spec, s_list[f][None], 4)
+        assert np.array_equal(batch.u_hat[f], single.u_hat[0])
+        assert batch.chosen_pm[f] == single.chosen_pm[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -700,6 +671,29 @@ def test_sc_equals_list_size_one(seed, frozen, family):
     sc = decode(spec, x, 1, crc_on=False, mode="sc")
     l1 = decode(spec, x, 1, crc_on=False, mode="list")
     assert np.array_equal(sc.u_hat, l1.u_hat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(64), list_size=st.sampled_from([1, 4]),
+       family=st.sampled_from([("hybrid", 1, "flat"), ("hybrid", 2, "flat"),
+                               ("hybrid", 2, "recursive"), ("hybrid", 4, "flat"),
+                               ("hybrid", 4, "recursive"), ("polar_repetition", 1, "flat")]))
+def test_noiseless_roundtrip(seed, frozen, list_size, family):
+    # Nearly noiseless frames from the frame pipeline decode to their payload
+    # and pass the CRC (a code without CRC reports no pass).
+    scheme, t, variant = family
+    n, r = 64, 2
+    p = 6 if len(frozen) <= n - 6 else 0
+    spec = spec_for(scheme=scheme, n=n, k=n - p - len(frozen), t=t, r=r, p=p,
+                    variant=variant, frozen=frozen)
+    rngs = [ch.seeded_rng(seed, 0, i) for i in range(3)]
+    info = np.stack([rng.integers(0, 2, size=spec.k, dtype=np.int8) for rng in rngs])
+    cfg = ch.ChannelConfig("awgn", 60.0, 0.5)                  # sigma^2 = 1e-6, also for k = 0
+    x = ch.transmit_frames(spec, cfg, enc.message_u(info, spec), rngs)
+    decode = scl_decode_batch if scheme == "hybrid" else baseline_decode_batch
+    out = decode(spec, x, list_size)
+    assert np.array_equal(out.u_hat[:, spec.unfrozen_indices()[:spec.k]], info)
+    assert out.crc_pass.all() == (p > 0)
 
 
 @settings(max_examples=40, deadline=None)

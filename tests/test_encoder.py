@@ -6,10 +6,9 @@ from hybridpolar.codespec import CodeSpec, default_frozen_set
 from hybridpolar.encoder import (Codeword, bit_reversal_permutation, crc_attach,
                                  crc_check, crc_remainder_matrix,
                                  encode_baseline, encode_hybrid, encode_stage1,
-                                 encode_stage2, format_codeword_dump,
-                                 make_message_frame, multiplicative_repeat,
-                                 polar_transform, polar_transform_binary,
-                                 stage1_block_map, validate_input_vector)
+                                 encode_stage2, format_codeword_dump, message_u,
+                                 multiplicative_repeat, polar_transform,
+                                 stage1_block_map)
 from hybridpolar.galois import build_field
 
 GF16 = build_field(4)
@@ -90,21 +89,21 @@ def test_crc_remainder_matrix_consistent():
 # --- Polar transforms ----------------------------------------------------------
 
 def test_polar_transform_zero():
-    assert not polar_transform_binary(np.zeros(16, dtype=np.int8)).any()
+    assert not polar_transform(np.zeros(16, dtype=np.int8)).any()
 
 
 def test_polar_transform_last_unit_vector_gives_all_ones():
     e = np.zeros(16, dtype=np.int8)
     e[15] = 1
-    assert polar_transform_binary(e).all()
+    assert polar_transform(e).all()
 
 
 def test_polar_transform_kernel_n2():
-    out = polar_transform_binary(np.array([1, 0]))
+    out = polar_transform(np.array([1, 0], dtype=np.int8))
     assert list(out) == [1, 0]
-    out = polar_transform_binary(np.array([0, 1]))
+    out = polar_transform(np.array([0, 1], dtype=np.int8))
     assert list(out) == [1, 1]
-    out = polar_transform_binary(np.array([1, 1]))
+    out = polar_transform(np.array([1, 1], dtype=np.int8))
     assert list(out) == [0, 1]
 
 
@@ -112,14 +111,14 @@ def test_polar_transform_matches_kron_matrix():
     rng = np.random.default_rng(4)
     for n in (2, 4, 8, 16, 32):
         for _ in range(20):
-            u = rng.integers(0, 2, size=n)
-            assert np.array_equal(polar_transform_binary(u),
+            u = rng.integers(0, 2, size=n, dtype=np.int8)
+            assert np.array_equal(polar_transform(u),
                                   oracles.matrix_polar_transform(u))
 
 
 def test_polar_transform_rejects_non_power_of_two():
     with pytest.raises(ValueError):
-        polar_transform_binary(np.zeros(6, dtype=np.int8))
+        polar_transform(np.zeros(6, dtype=np.int8))
 
 
 def test_bit_reversal_permutation():
@@ -161,8 +160,24 @@ def test_stage1_variants_agree_for_t2():
 def test_stage1_block_map_matches_matrix_oracle():
     for t in (1, 2, 4):
         for variant in ("flat", "recursive"):
-            assert list(stage1_block_map(t, variant)) == \
-                oracles.stage1_map_matrix(t, variant)
+            block_map = stage1_block_map(t, variant)
+            assert list(block_map) == oracles.stage1_map_matrix(t, variant)
+            # Cached: the same read-only table on every call.
+            assert stage1_block_map(t, variant) is block_map
+            assert not block_map.flags.writeable
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+@pytest.mark.parametrize("variant", ["flat", "recursive"])
+def test_stage1_batch_matches_matrix_oracle(t, variant):
+    # Every t-bit group of a (frames, n) batch maps through the dense-matrix kernel.
+    oracle = oracles.stage1_map_matrix(t, variant)
+    u = np.random.default_rng(11 + t).integers(0, 2, size=(5, 64), dtype=np.int8)
+    a = encode_stage1(u, t, variant)
+    assert a.shape == (5, 64 // t)
+    for f, i in np.ndindex(a.shape):
+        group = u[f, i * t:(i + 1) * t]
+        assert a[f, i] == oracle[sum(int(b) << j for j, b in enumerate(group))]
 
 
 def test_stage1_rejects_bad_length():
@@ -265,8 +280,7 @@ def test_encode_baseline_properties():
     rng = np.random.default_rng(7)
     info = rng.integers(0, 2, size=8, dtype=np.int8)
     cw = encode_baseline(info, spec1)
-    frame = make_message_frame(info, spec1)
-    assert np.array_equal(cw.symbols, polar_transform_binary(frame.u))
+    assert np.array_equal(cw.symbols, polar_transform(message_u(info, spec1)))
 
 
 def test_hybrid_t1_unit_rho_equals_baseline_stream():
@@ -314,27 +328,18 @@ def test_repeated_blocks_share_zero_pattern():
 def test_message_frame_layout():
     spec = spec_for(n=16, k=6, t=2, r=2, p=6)
     info = np.array([1, 0, 1, 1, 0, 1], dtype=np.int8)
-    frame = make_message_frame(info, spec)
-    assert frame.u.shape == (16,)
-    assert not frame.u[list(spec.frozen_set)].any()
+    u = message_u(info, spec)
+    assert u.shape == (16,)
+    assert not u[list(spec.frozen_set)].any()
     unfrozen = spec.unfrozen_indices()
-    assert np.array_equal(frame.u[unfrozen[:6]], info)
-    assert np.array_equal(frame.u[unfrozen[6:]], frame.crc_bits)
-    assert crc_check(np.concatenate([info, frame.crc_bits]), CRC6, 6)
+    assert np.array_equal(u[unfrozen[:6]], info)
+    assert crc_check(u[unfrozen], CRC6, 6)
 
 
 def test_message_frame_rejects_wrong_length():
     spec = spec_for(n=16, k=6, t=2, r=2, p=6)
     with pytest.raises(ValueError):
-        make_message_frame(np.zeros(5, dtype=np.int8), spec)
-
-
-def test_frozen_bit_violation_rejected():
-    spec = spec_for(n=16, k=8, t=2, r=2)
-    u = np.zeros(16, dtype=np.int8)
-    u[spec.frozen_set[0]] = 1
-    with pytest.raises(ValueError):
-        validate_input_vector(u, spec)
+        message_u(np.zeros(5, dtype=np.int8), spec)
 
 
 def test_debug_dump_format():
