@@ -453,6 +453,21 @@ def test_scl_l1_matches_sc_rule():
         assert np.array_equal(res_l1.u_hat, res_sc.u_hat)
 
 
+def test_noiseless_roundtrip_sweep():
+    rng = np.random.default_rng(8)
+    for t, variant in [(1, "flat"), (2, "flat"), (2, "recursive"),
+                       (4, "flat"), (4, "recursive")]:
+        spec = spec_for(n=64, k=30, t=t, r=2, p=6, variant=variant)
+        tables = spec.field_tables()
+        for L in (1, 4):
+            info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
+            s_inner = hybrid_channel_llrs(spec, tables, info, rng, ebn0_db=60.0)
+            res = scl_decode_batch(spec, s_inner[None], L)
+            got = res.u_hat[0, spec.unfrozen_indices()[:spec.k]]
+            assert np.array_equal(got, info)
+            assert res.crc_pass[0]
+
+
 def test_all_frozen_code_decodes_to_zero():
     spec = spec_for(n=16, k=0, t=2, r=2, p=0)
     rng = np.random.default_rng(9)
@@ -549,6 +564,19 @@ def test_chosen_path_respects_crc_selection():
 def test_baseline_copy_combining():
     llrs = np.tile(np.array([1.5, -2.0, 0.5, 3.0]), 4)
     assert np.allclose(combine_baseline(llrs, 4), 4 * np.array([1.5, -2.0, 0.5, 3.0]))
+
+
+def test_baseline_noiseless_roundtrip():
+    rng = np.random.default_rng(15)
+    spec = spec_for(scheme="polar_repetition", n=64, k=30, t=1, r=4, p=6)
+    cfg = ch.ChannelConfig("awgn", 60.0, spec.rate)
+    for L in (1, 4):
+        info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
+        x = 1.0 - 2.0 * enc.encode_baseline(info, spec).symbols
+        y, h = ch.transmit(x, cfg, rng)
+        llrs = (2.0 / cfg.sigma2) * h * y
+        res = baseline_decode_batch(spec, llrs[None], L)
+        assert np.array_equal(res.u_hat[0, spec.unfrozen_indices()[:spec.k]], info)
 
 
 def test_baseline_scl_l1_matches_sc():
