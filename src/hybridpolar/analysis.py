@@ -103,6 +103,29 @@ class WeightHistogram:
         return "\n".join(lines) + "\n"
 
 
+# Paths re-encoded per encoder call: caps the (rows, N/t) int64 streams at 2 MB for N/t = 2048.
+_WEIGHT_CHUNK = 128
+
+
+def _codeword_weights(u_rows, spec: CodeSpec, tables, coefficients) -> np.ndarray:
+    """Channel-bit weights of the codewords of (rows, n) u vectors.
+
+    ``coefficients`` is the (r-1, n/t) array every row shares, or None (r = 1, baseline).
+    """
+    t = spec.t if spec.scheme == "hybrid" else 1
+    popcount = unpack_symbol_array(np.arange(1 << t), t).sum(-1).astype(np.int8)
+    weights = np.empty(len(u_rows), dtype=np.int64)
+    for i in range(0, len(u_rows), _WEIGHT_CHUNK):
+        symbols = _encoder.encode_u_vector(u_rows[i:i + _WEIGHT_CHUNK], spec, tables, coefficients)
+        weights[i:i + _WEIGHT_CHUNK] = popcount[symbols].sum(-1)
+    return weights
+
+
+def _add_weights(hist: WeightHistogram, weights: np.ndarray) -> None:
+    for weight, count in zip(*np.unique(weights, return_counts=True)):
+        hist.add(int(weight), int(count))
+
+
 def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
                          seed: int,
                          coefficients: np.ndarray | None = None) -> WeightHistogram:
@@ -110,8 +133,10 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
 
     The all-zero codeword is transmitted at ``high_snr_db``; every path
     surviving the list decode (no CRC filtering) is re-encoded under
-    the pinned coefficients and its nonzero bit weight recorded, after
-    removing duplicate u vectors.
+    the pinned coefficients and its nonzero bit weight recorded.  No
+    dedup is needed: two paths differ at the bit where their lineages
+    split, and pruning only drops paths.  Re-encoding runs
+    ``_WEIGHT_CHUNK`` paths at a time, so its memory is bounded in L.
     """
     tables = spec.field_tables()
     hybrid = spec.scheme == "hybrid"
@@ -123,13 +148,9 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
     decode = _decoder.scl_decode_batch if hybrid else _decoder.baseline_decode_batch
     out = decode(spec, channel_input, list_size, crc_on=False, return_paths=True)
 
-    paths = np.unique(out.all_u[0], axis=0)
+    weights = _codeword_weights(out.all_u[0], spec, tables, coefficients)
     hist = WeightHistogram(list_size=list_size, snr_db=high_snr_db)
-    for u in paths:
-        symbols = _encoder.encode_u_vector(u, spec, tables, coefficients=coefficients)
-        w = int(unpack_symbol_array(symbols, spec.t if hybrid else 1).sum())
-        if w > 0:
-            hist.add(w)
+    _add_weights(hist, weights[weights > 0])
     return hist
 
 
@@ -150,13 +171,11 @@ def brute_force_weights(spec: CodeSpec,
         raise ValueError("hybrid brute force needs pinned coefficients")
     hist = WeightHistogram()
     unfrozen = spec.unfrozen_indices()
-    for msg in range(1, 1 << n_payload):
-        payload = np.array([(msg >> j) & 1 for j in range(n_payload)], dtype=np.int8)
-        u = np.zeros(spec.n, dtype=np.int8)
-        u[unfrozen] = payload
-        symbols = _encoder.encode_u_vector(u, spec, tables, coefficients=coefficients)
-        w = int(unpack_symbol_array(symbols, spec.t if spec.scheme == "hybrid" else 1).sum())
-        hist.add(w)
+    for start in range(1, 1 << n_payload, _WEIGHT_CHUNK):
+        msgs = np.arange(start, min(start + _WEIGHT_CHUNK, 1 << n_payload))
+        u = np.zeros((len(msgs), spec.n), dtype=np.int8)
+        u[:, unfrozen] = (msgs[:, None] >> np.arange(n_payload)) & 1
+        _add_weights(hist, _codeword_weights(u, spec, tables, coefficients))
     return hist
 
 

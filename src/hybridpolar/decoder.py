@@ -283,8 +283,10 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int
     ``plus``/``minus`` are the kernel's check and variable updates, ``leaf(state, s, i)``
     decides leaf i and ``rate0(s)`` prices an all-frozen span; returns the re-encoding.
     """
-    if state.leaf_frozen[first:first + s.shape[2]].all():
-        # Rate 0: every decision is 0; SC metrics ignore frozen bits.
+    erred = state.mode == "genie" and (state.first_error >= 0).all()
+    if erred or state.leaf_frozen[first:first + s.shape[2]].all():
+        # Rate 0: every decision is 0; SC metrics ignore frozen bits.  Once every
+        # genie trial has erred, no later decision can move first_error.
         if state.mode == "list":
             state.pm += rate0(s)
         return np.zeros(s.shape[:3], dtype=np.int8)

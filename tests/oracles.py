@@ -8,12 +8,17 @@ The layered Stage-1 update and the scalar path-metric step are the
 textbook per-layer and per-bit rules that the decoder replaces with one
 table lookup (Stage 1) and one batched branch (the metric).  The
 frozen-span penalty is the bit-by-bit SC sum that the decoder replaces
-with a closed form when it skips an all-frozen subtree.
+with a closed form when it skips an all-frozen subtree.  The exhaustive
+weight enumerator is the one-codeword-at-a-time loop that the analysis
+module replaces with batched re-encoding.
 """
 
 import math
 
 import numpy as np
+
+from hybridpolar.encoder import encode_u_vector
+from hybridpolar.galois import unpack_symbol_array
 
 
 # --- CRC by long division over coefficient lists ---------------------------
@@ -219,3 +224,25 @@ def binary_g(a: float, b: float, u0: int) -> float:
 
 def q_function_erfc(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+# --- Exhaustive weight enumeration, one codeword at a time --------------------
+
+def codeword_weight(u, spec, tables, coefficients) -> int:
+    """Channel-bit weight of the codeword of one u vector."""
+    symbols = encode_u_vector(u, spec, tables, coefficients=coefficients)
+    return int(unpack_symbol_array(symbols, spec.t if spec.scheme == "hybrid" else 1).sum())
+
+
+def brute_force_weight_counts(spec, coefficients=None) -> dict:
+    """Weight -> multiplicity over every nonzero filling of the unfrozen positions."""
+    n_payload = spec.k + spec.p
+    tables = spec.field_tables()
+    unfrozen = spec.unfrozen_indices()
+    counts = {}
+    for msg in range(1, 1 << n_payload):
+        u = np.zeros(spec.n, dtype=np.int8)
+        u[unfrozen] = [(msg >> j) & 1 for j in range(n_payload)]
+        w = codeword_weight(u, spec, tables, coefficients)
+        counts[w] = counts.get(w, 0) + 1
+    return counts

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from hybridpolar.analysis import (WeightHistogram, brute_force_weights,
-                                  count_operations, enumerate_low_weight,
-                                  pinned_coefficients, q_function, union_bound)
+from hybridpolar.analysis import (_WEIGHT_CHUNK, WeightHistogram, _codeword_weights,
+                                  brute_force_weights, count_operations,
+                                  enumerate_low_weight, pinned_coefficients, q_function,
+                                  union_bound)
 from hybridpolar.codespec import CodeSpec, default_frozen_set
 
 CRC6 = 0b1000011
@@ -124,6 +125,40 @@ def test_enumeration_baseline_scheme():
     exact = brute_force_weights(spec)
     est = enumerate_low_weight(spec, list_size=64, high_snr_db=40.0, seed=1)
     assert est.counts == exact.counts
+
+
+@pytest.mark.parametrize("scheme,t", [("hybrid", 1), ("hybrid", 2), ("hybrid", 4),
+                                      ("polar_repetition", 1)])
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("rows", [1, _WEIGHT_CHUNK, _WEIGHT_CHUNK + 1])
+def test_codeword_weights_match_per_row_oracle(scheme, t, r, rows):
+    spec = CodeSpec(scheme=scheme, n=32, k=16, t=t, r=r, p=0, crc_poly=0,
+                    frozen_set=default_frozen_set(32, 16, 0), design_snr=2.0)
+    tables = spec.field_tables()
+    u = np.random.default_rng(rows + 10 * r + 100 * t).integers(0, 2, size=(rows, 32),
+                                                                dtype=np.int8)
+    choices = [pinned_coefficients(spec, 5)] if scheme == "hybrid" else []
+    if scheme != "hybrid" or r == 1:
+        choices.append(None)
+    for rho in choices:
+        expected = [oracles.codeword_weight(row, spec, tables, rho) for row in u]
+        assert _codeword_weights(u, spec, tables, rho).tolist() == expected
+
+
+@pytest.mark.parametrize("scheme,t,r", [("hybrid", 2, 4), ("hybrid", 4, 3),
+                                        ("polar_repetition", 1, 4)])
+def test_brute_force_matches_per_codeword_loop(scheme, t, r):
+    # k = 8: 255 messages, so the payloads span two chunks.
+    spec = CodeSpec(scheme=scheme, n=16, k=8, t=t, r=r, p=0, crc_poly=0,
+                    frozen_set=default_frozen_set(16, 8, 0), design_snr=2.0)
+    rho = pinned_coefficients(spec, 2) if scheme == "hybrid" else None
+    assert brute_force_weights(spec, coefficients=rho).counts == \
+        oracles.brute_force_weight_counts(spec, rho)
+
+
+def test_brute_force_hybrid_needs_coefficients():
+    with pytest.raises(ValueError, match="pinned coefficients"):
+        brute_force_weights(small_hybrid_spec())
 
 
 def test_histogram_rejects_zero_weight():

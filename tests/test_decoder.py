@@ -3,7 +3,7 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -435,7 +435,11 @@ def test_rate0_subtrees_are_not_descended(monkeypatch):
     scl_decode_batch(spec_h, rng.normal(size=(2, 8, 4)), 4)
     baseline_decode_batch(spec_b, rng.normal(size=(2, 32)), 4)
     assert (len(plus_calls), len(f_calls)) == (4, 8)          # 7 and 15 without skipping
-    genie_first_errors(spec_h, rng.normal(size=(2, 8, 4)), np.zeros((2, 16), dtype=np.int8))
+    # Nonnegative LLR vectors decode to the all-zero truth without error, so the
+    # genie pass, which stops only once every trial has erred, visits all 7 nodes.
+    clean = np.abs(rng.normal(size=(2, 8, 4)))
+    clean[..., 0] = 0.0
+    assert (genie_first_errors(spec_h, clean, np.zeros((2, 16), dtype=np.int8)) == -1).all()
     assert len(plus_calls) == 4 + 7
 
 
@@ -601,18 +605,20 @@ def test_hybrid_t1_unit_rho_matches_baseline_decisions():
     gf2 = build_field(1)
     ones = np.ones((r - 1, n), dtype=np.int64)
     cfg = ch.ChannelConfig("awgn", 0.0, spec_h.rate)
+    s_inner, llrs = [], []
     for _ in range(200):
         info = rng.integers(0, 2, size=k, dtype=np.int8)
         cw = enc.encode_hybrid(info, spec_h, gf2, coefficients=ones)
         x = ch.bpsk_modulate(cw.symbols, 1)
         y, h = ch.transmit(x, cfg, rng)
         s_in = ch.initial_llrs(y, h, cfg.sigma2, 1)
-        s_inner = combine_repetitions(s_in, ones, gf2)
-        llrs = (2.0 / cfg.sigma2) * h * y
-        for L in (1, 4):
-            res_h = scl_decode_batch(spec_h, s_inner[None], L)
-            res_b = baseline_decode_batch(spec_b, llrs[None], L)
-            assert np.array_equal(res_h.u_hat, res_b.u_hat)
+        s_inner.append(combine_repetitions(s_in, ones, gf2))
+        llrs.append((2.0 / cfg.sigma2) * h * y)
+    for L in (1, 4):
+        res_h = scl_decode_batch(spec_h, np.stack(s_inner), L)
+        res_b = baseline_decode_batch(spec_b, np.stack(llrs), L)
+        for row_h, row_b in zip(res_h.u_hat, res_b.u_hat):
+            assert np.array_equal(row_h, row_b)
 
 
 # --- Genie pass ------------------------------------------------------------------------
@@ -631,6 +637,31 @@ def test_genie_no_errors_when_noiseless():
     s_inner = combine_repetitions(s_in, rho, tables)
     firsts = genie_first_errors(spec, s_inner, u)
     assert np.array_equal(firsts, -np.ones(4))
+
+
+@pytest.mark.parametrize("scheme,t,kernel", [("hybrid", 2, "stage2_plus"),
+                                             ("hybrid", 4, "stage2_plus"),
+                                             ("polar_repetition", 1, "_f_bin")])
+def test_genie_stops_once_every_trial_has_erred(monkeypatch, scheme, t, kernel):
+    # Noisy trials with a random truth all err early.  Decoded alone, the batch
+    # stops there; one clean trial appended keeps the pass running to the end,
+    # and the noisy trials' counts must not change.
+    calls = []
+    counted = getattr(decoder, kernel)
+    monkeypatch.setattr(decoder, kernel, lambda *a: calls.append(1) or counted(*a))
+    spec = spec_for(scheme=scheme, n=64, k=32, t=t, r=2)
+    rng = np.random.default_rng(23)
+    noisy = random_decoder_input(spec, rng, frames=6)
+    truth = rng.integers(0, 2, size=(6, spec.n), dtype=np.int8)
+    clean = np.abs(random_decoder_input(spec, rng, frames=1))   # decodes to all-zero
+    alone = genie_first_errors(spec, noisy, truth)
+    alone_calls = len(calls)
+    padded = genie_first_errors(spec, np.concatenate([noisy, clean]),
+                                np.concatenate([truth, np.zeros((1, spec.n), dtype=np.int8)]))
+    assert (alone >= 0).all() and padded[-1] == -1
+    assert np.array_equal(padded[:-1], alone)
+    assert len(calls) - alone_calls == spec.n // t - 1     # every node of the tree
+    assert alone_calls < spec.n // t - 1
 
 
 def test_batch_and_single_frame_agree():
@@ -746,6 +777,25 @@ def test_hybrid_t1_unit_rho_equals_baseline(seed, frozen, list_size, mode, crc_o
     for field in ("chosen_pm", "all_pm"):
         np.testing.assert_allclose(getattr(hyb, field), getattr(base, field),
                                    rtol=PM_TOL, atol=PM_TOL, err_msg=field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32),
+       family=st.sampled_from([("hybrid", 1), ("hybrid", 2), ("hybrid", 4),
+                               ("polar_repetition", 1)]),
+       list_size=st.sampled_from([2, 8, 64]))
+def test_surviving_paths_are_distinct(seed, frozen, family, list_size):
+    # Two survivors differ at the bit where their lineages split, and pruning
+    # only drops paths, so weight enumeration needs no deduplication.
+    assume(len(frozen) < 32)                                  # a rate-0 code has no SNR
+    scheme, t = family
+    spec = spec_for(scheme=scheme, n=32, k=32 - len(frozen), t=t, r=2, frozen=frozen)
+    cfg = ch.ChannelConfig("awgn", 40.0, spec.rate)
+    x = ch.transmit_frames(spec, cfg, np.zeros((1, spec.n), dtype=np.int8),
+                           [ch.seeded_rng(seed, 0)], ch.pinned_coefficients(spec, seed))
+    decode = scl_decode_batch if scheme == "hybrid" else baseline_decode_batch
+    paths = decode(spec, x, list_size, crc_on=False, return_paths=True).all_u[0]
+    assert len(np.unique(paths, axis=0)) == len(paths)
 
 
 @pytest.mark.parametrize("mode", ["SC", "genie", "List"])
