@@ -27,9 +27,9 @@ cfg = ChannelConfig("awgn", ebn0_db=1.0, rate=spec.rate)
 y, h = transmit(x, cfg, rng)
 print(f"\nEb/N0 = 1 dB, noise variance per sample = {cfg.sigma2:.2f}")
 
-s_in = initial_llrs(y, h, cfg.sigma2, spec.t)
-s_inner = combine_repetitions(s_in, cw.coefficients, tables)
-print(f"combined the {spec.r} repeated observations into "
+bit_llrs = initial_llrs(y, h, cfg.sigma2)
+s_inner = combine_repetitions(bit_llrs, cw.coefficients, tables)
+print(f"combined the {spec.r} repeated observations ({bit_llrs.size} bit LLRs) into "
       f"{s_inner.shape[0]} symbol LLR vectors of length {s_inner.shape[1]}")
 
 # The decoder works on batches: one frame goes in as a batch of one, row 0.

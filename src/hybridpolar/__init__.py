@@ -7,7 +7,7 @@ construct, simulate and analyse them:
 * ``galois``   -- GF(2^t) tables and the bit/symbol packing convention
 * ``codespec`` -- code parameters, Monte-Carlo construction, persistence
 * ``encoder``  -- CRC, two-stage outer encoding, both inner codes
-* ``channel``  -- BPSK over AWGN / Rayleigh block fading, symbol LLRs
+* ``channel``  -- BPSK over AWGN / Rayleigh block fading, bit LLRs
 * ``decoder``  -- batched SC and CRC-aided SCL decoding for both schemes
 * ``analysis`` -- operation counts, weight spectra, union bound
 * ``cli``      -- the ``hybridpolar`` command-line harness

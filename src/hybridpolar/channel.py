@@ -1,14 +1,11 @@
 """BPSK transmission over AWGN and Rayleigh block-fading channels.
 
-Symbol LLR convention: a symbol observation is summarised by a vector
-of length 2^t indexed by candidate symbol value s, holding
-
-    S[s] = ln W(y | 0 transmitted) - ln W(y | s transmitted),
-
-so S[0] is identically zero and the most likely symbol attains the
-minimum.  For BPSK in Gaussian noise the vector decomposes over the
-bits of s: S[s] = sum of 2*h_j*y_j/sigma^2 over the bit positions j
-where s has a 1.
+Both schemes' receivers start from the bit LLRs lambda = ln W(y | 0) -
+ln W(y | 1) = 2*h*y/sigma^2 (:func:`initial_llrs`).  A hybrid symbol s
+has the LLR S[s] = ln W(y | 0) - ln W(y | s), the sum of lambda over the
+bits where s has a 1, so S[0] = 0 and the likeliest symbol attains the
+minimum; these 2^t vectors are formed only after the r repeats are
+summed (:func:`hybridpolar.decoder.combine_repetitions`).
 
 :func:`transmit_frames` is the one transmit chain of every simulation,
 construction and spectrum run.  Frame i draws from its own generator,
@@ -18,6 +15,7 @@ in this order: the caller's u vector, its repetition coefficients
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -79,10 +77,17 @@ class ChannelConfig:
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _bpsk_table(t: int) -> np.ndarray:
+    """Read-only (2^t, t) table: row s holds the samples of symbol s."""
+    table = 1.0 - 2.0 * unpack_symbol_array(np.arange(1 << t), t)
+    table.setflags(write=False)
+    return table
+
+
 def bpsk_modulate(symbols: np.ndarray, t: int) -> np.ndarray:
     """Unpack symbols to bits (alpha^0 coefficient first) and map 0 -> +1, 1 -> -1."""
-    bits = unpack_symbol_array(np.asarray(symbols, dtype=np.int64), t)
-    x = 1.0 - 2.0 * bits.astype(np.float64)
+    x = np.take(_bpsk_table(t), symbols, axis=0)
     return x.reshape(*x.shape[:-2], -1)
 
 
@@ -107,23 +112,11 @@ def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.nda
     return h * x + rng.normal(0.0, np.sqrt(cfg.sigma2), size=x.shape), h
 
 
-def initial_llrs(y: np.ndarray, h: np.ndarray, sigma2: float, t: int) -> np.ndarray:
-    """Per-symbol LLR vectors from channel output and gains.
-
-    Input arrays run over the flattened bit stream (t samples per
-    symbol); the result has shape (..., n_symbols, 2^t) with entry 0
-    pinned to zero.
-    """
+def initial_llrs(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
+    """Bit LLRs (2/sigma^2) * h * y from channel output and gains."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive to form LLRs")
-    y = np.asarray(y, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if y.shape[-1] % t:
-        raise ValueError(f"sample count {y.shape[-1]} is not a multiple of t={t}")
-    bit_llrs = (2.0 / sigma2) * h * y
-    bit_llrs = bit_llrs.reshape(*y.shape[:-1], -1, t)
-    membership = unpack_symbol_array(np.arange(1 << t, dtype=np.int64), t)
-    return bit_llrs @ membership.T.astype(np.float64)
+    return (2.0 / sigma2) * np.asarray(h, dtype=np.float64) * np.asarray(y, dtype=np.float64)
 
 
 def seeded_rng(seed: int, *path: int):
@@ -145,7 +138,7 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
     repetition coefficients from it unless ``pinned`` (r-1, n/t) fixes
     them for every frame.  Returns the decoder input: the combined
     (frames, n/t, 2^t) symbol LLRs for the hybrid scheme, the
-    (frames, N) bit LLRs (2/sigma^2) * h * y for the baseline.
+    (frames, N) bit LLRs for the baseline.
     """
     hybrid = spec.scheme == "hybrid"
     tables = spec.field_tables() if hybrid else None
@@ -157,12 +150,9 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
         coefficients = np.stack([_encoder.draw_coefficients(n2, spec.r, tables, rng)
                                  for rng in rngs])
     t = spec.t if hybrid else 1
-    y = bpsk_modulate(_encoder.encode_u_vector(u, spec, tables, coefficients), t)
-    h = np.empty_like(y)
-    for row, rng in enumerate(rngs):
-        y[row], h[row] = transmit(y[row], cfg, rng)
+    x = bpsk_modulate(_encoder.encode_u_vector(u, spec, tables, coefficients), t)
+    for row, rng in enumerate(rngs):   # each row's LLRs replace its samples: no (frames, N) y, h
+        x[row] = initial_llrs(*transmit(x[row], cfg, rng), cfg.sigma2)
     if hybrid:
-        s_in = initial_llrs(y, h, cfg.sigma2, spec.t)
-        del y, h  # the repetition combine is the chain's memory peak
-        return _decoder.combine_repetitions(s_in, coefficients, tables)
-    return (2.0 / cfg.sigma2) * h * y
+        return _decoder.combine_repetitions(x, coefficients, tables)
+    return x

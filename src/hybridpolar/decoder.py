@@ -2,10 +2,11 @@
 
 Decoding a hybrid frame has four parts:
 
-1. the inner multiplicative repetition collapses to a permutation of
-   each repeated symbol's LLR vector (multiplication by a nonzero
-   field element cyclically shifts the nonzero symbols) followed by a
-   plain sum over the r observations of each outer symbol;
+1. the r observations of each outer symbol combine straight from
+   the bit LLRs: those of the repeats that share a coefficient rho are
+   added, and one product with a table of the bits of rho * v gives
+   the symbol LLR vector (:func:`combine_repetitions`), so no 2^t
+   vector is formed per repeat;
 2. Stage 2 runs successive cancellation over the symbol-level Arikan
    kernel, propagating whole LLR vectors through min-sum check and
    variable updates (:func:`stage2_plus` / :func:`stage2_minus`);
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .encoder import crc_check, stage1_block_map
-from .galois import FieldTables
+from .galois import FieldTables, build_field, unpack_symbol_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from .codespec import CodeSpec
@@ -53,32 +54,39 @@ if TYPE_CHECKING:  # pragma: no cover
 # Elementary LLR-vector operations
 # ---------------------------------------------------------------------------
 
-def combine_repetitions(s_in: np.ndarray, coefficients: np.ndarray,
-                        tables: FieldTables) -> np.ndarray:
-    """Sum the r observations of each outer symbol after de-permuting.
+@functools.lru_cache(maxsize=None)
+def _repetition_bit_table(t: int, primitive_poly: int) -> np.ndarray:
+    """Read-only (q*t, q) table whose row rho*t + b holds bit b of rho*v for every v."""
+    bits = unpack_symbol_array(build_field(t, primitive_poly).mul, t)   # [rho, v, b]
+    table = bits.transpose(0, 2, 1).reshape(-1, 1 << t).astype(np.float64)
+    table.setflags(write=False)
+    return table
 
-    ``s_in`` has shape (..., r*n2, 2^t) and ``coefficients`` shape
-    (..., r-1, n2); the result is the (..., n2, 2^t) LLR input of the
-    outer decoder.
+
+def combine_repetitions(bit_llrs: np.ndarray, coefficients: np.ndarray,
+                        tables: FieldTables) -> np.ndarray:
+    """Combined (..., n2, 2^t) symbol LLRs from (..., r*n2*t) bit LLRs and (..., r-1, n2) rho.
+
+    Repeat j of symbol i scores v by sum_b bit_b(rho_j * v) * lambda_{j,b}.  The bit-b
+    LLRs of the repeats sharing a coefficient rho (block 0 has rho = 1) are summed
+    first, by one bincount per bit, then one product with the bits of rho * v.
     """
-    s_in = np.asarray(s_in, dtype=np.float64)
-    coefficients = np.asarray(coefficients, dtype=np.int64)
-    r, n2 = coefficients.shape[-2] + 1, coefficients.shape[-1]
-    if s_in.shape[:-1] != coefficients.shape[:-2] + (r * n2,):
-        raise ValueError(f"expected symbol LLR vectors of shape "
-                         f"{coefficients.shape[:-2] + (r * n2,)}, got {s_in.shape[:-1]}")
-    q = s_in.shape[-1]
-    blocks = s_in.reshape(*s_in.shape[:-2], r, n2, q)
-    if r == 1:
-        return blocks[..., 0, :, :].copy()
-    # One flat take.  Each LLR vector's row offset in s_in goes into the fresh
-    # index array in place, one axis at a time, so no index-sized temporary is made.
-    idx = tables.mul[coefficients]
-    view = idx.reshape(-1, r - 1, n2, q)
-    view += q * n2 * (r * np.arange(len(view))[:, None] + np.arange(1, r))[..., None, None]
-    view += q * np.arange(n2)[:, None]
-    rest = np.take(blocks, idx)
-    return blocks[..., 0, :, :] + rest.sum(axis=-3)
+    coefficients = np.asarray(coefficients)
+    q, t = tables.q, tables.t
+    lead, r, n2 = coefficients.shape[:-2], coefficients.shape[-2] + 1, coefficients.shape[-1]
+    if np.shape(bit_llrs) != lead + (r * n2 * t,):
+        raise ValueError(f"bit LLR shape {np.shape(bit_llrs)} is not {lead + (r * n2 * t,)}")
+    if coefficients.size and not (coefficients.min() >= 1 and coefficients.max() < q):
+        raise ValueError("repetition coefficients must be nonzero field elements")
+    keys = np.empty(lead + (r, n2), dtype=np.int64)   # C order even for a broadcast rho
+    keys[..., 0, :], keys[..., 1:, :] = 1, coefficients
+    keys += q * np.arange(keys.size // r).reshape(lead + (1, n2))   # (frame*n2 + i)*q + rho
+    lam = np.asarray(bit_llrs, dtype=np.float64).reshape(-1, t)
+    sums = np.empty((keys.size // r * q, t))
+    for b in range(t):
+        sums[:, b] = np.bincount(keys.ravel(), weights=lam[:, b], minlength=len(sums))
+    out = sums.reshape(-1, q * t) @ _repetition_bit_table(t, tables.primitive_poly)
+    return out.reshape(lead + (n2, q))
 
 
 def stage2_plus(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:

@@ -74,10 +74,9 @@ def _received(spec: CodeSpec, tables, symbols, coefficients, rng) -> np.ndarray:
     cfg = ch.ChannelConfig("awgn", EBN0_DB, spec.rate)
     if spec.scheme == "hybrid":
         y, h = ch.transmit(ch.bpsk_modulate(symbols, spec.t), cfg, rng)
-        s_in = ch.initial_llrs(y, h, cfg.sigma2, spec.t)
-        return combine_repetitions(s_in, coefficients, tables)
+        return combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), coefficients, tables)
     y, h = ch.transmit(1.0 - 2.0 * symbols, cfg, rng)
-    return (2.0 / cfg.sigma2) * h * y
+    return ch.initial_llrs(y, h, cfg.sigma2)
 
 
 def family_inputs(index: int) -> dict:

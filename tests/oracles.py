@@ -8,7 +8,10 @@ The layered Stage-1 update and the scalar path-metric step are the
 textbook per-layer and per-bit rules that the decoder replaces with one
 table lookup (Stage 1) and one batched branch (the metric).  The
 frozen-span penalty is the bit-by-bit SC sum that the decoder replaces
-with a closed form when it skips an all-frozen subtree.  The exhaustive
+with a closed form when it skips an all-frozen subtree.  The
+symbol-domain repetition combine expands every repeat to a 2^t LLR
+vector and adds the de-permuted vectors; the decoder replaces it with
+per-coefficient sums of bit LLRs and one table product.  The exhaustive
 weight enumerator is the one-codeword-at-a-time loop that the analysis
 module replaces with batched re-encoding.
 """
@@ -224,6 +227,54 @@ def binary_g(a: float, b: float, u0: int) -> float:
 
 def q_function_erfc(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+# --- Repetition combining in the symbol domain -------------------------------
+
+def symbol_llrs(y: np.ndarray, h: np.ndarray, sigma2: float, t: int) -> np.ndarray:
+    """Per-symbol LLR vectors from channel output and gains.
+
+    Input arrays run over the flattened bit stream (t samples per
+    symbol); the result has shape (..., n_symbols, 2^t) with entry 0
+    pinned to zero.
+    """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive to form LLRs")
+    y = np.asarray(y, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    if y.shape[-1] % t:
+        raise ValueError(f"sample count {y.shape[-1]} is not a multiple of t={t}")
+    bit_llrs = (2.0 / sigma2) * h * y
+    bit_llrs = bit_llrs.reshape(*y.shape[:-1], -1, t)
+    membership = unpack_symbol_array(np.arange(1 << t, dtype=np.int64), t)
+    return bit_llrs @ membership.T.astype(np.float64)
+
+
+def permute_and_add(s_in: np.ndarray, coefficients: np.ndarray, tables) -> np.ndarray:
+    """Sum the r observations of each outer symbol after de-permuting.
+
+    ``s_in`` has shape (..., r*n2, 2^t) and ``coefficients`` shape
+    (..., r-1, n2); the result is the (..., n2, 2^t) LLR input of the
+    outer decoder.
+    """
+    s_in = np.asarray(s_in, dtype=np.float64)
+    coefficients = np.asarray(coefficients, dtype=np.int64)
+    r, n2 = coefficients.shape[-2] + 1, coefficients.shape[-1]
+    if s_in.shape[:-1] != coefficients.shape[:-2] + (r * n2,):
+        raise ValueError(f"expected symbol LLR vectors of shape "
+                         f"{coefficients.shape[:-2] + (r * n2,)}, got {s_in.shape[:-1]}")
+    q = s_in.shape[-1]
+    blocks = s_in.reshape(*s_in.shape[:-2], r, n2, q)
+    if r == 1:
+        return blocks[..., 0, :, :].copy()
+    # One flat take.  Each LLR vector's row offset in s_in goes into the fresh
+    # index array in place, one axis at a time, so no index-sized temporary is made.
+    idx = tables.mul[coefficients]
+    view = idx.reshape(-1, r - 1, n2, q)
+    view += q * n2 * (r * np.arange(len(view))[:, None] + np.arange(1, r))[..., None, None]
+    view += q * np.arange(n2)[:, None]
+    rest = np.take(blocks, idx)
+    return blocks[..., 0, :, :] + rest.sum(axis=-3)
 
 
 # --- Exhaustive weight enumeration, one codeword at a time --------------------

@@ -36,8 +36,7 @@ def run_hybrid_frames(spec, tables, info, coeffs, cfg, rng):
     symbols = enc.encode_u_vector(enc.message_u(info, spec), spec, tables, coeffs)
     x = ch.bpsk_modulate(symbols, spec.t)
     y, h = ch.transmit(x, cfg, rng)
-    s_in = ch.initial_llrs(y, h, cfg.sigma2, spec.t)
-    return dec.combine_repetitions(s_in, coeffs, tables)
+    return dec.combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), coeffs, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +140,8 @@ def test_criterion_4_degenerate_equivalence():
     assert np.array_equal(x_b, x_h)  # bit-identical channel streams
 
     y, h = ch.transmit(x_b, cfg, rng)
-    llrs = (2.0 / cfg.sigma2) * h * y
-    s_in = ch.initial_llrs(y, h, cfg.sigma2, 1)
-    s_inner = dec.combine_repetitions(s_in, ones, gf2)
+    llrs = ch.initial_llrs(y, h, cfg.sigma2)
+    s_inner = dec.combine_repetitions(llrs, ones, gf2)
     for L in (1, 4):
         out_b = dec.baseline_decode_batch(spec_b, llrs, L)
         out_h = dec.scl_decode_batch(spec_h, s_inner, L)

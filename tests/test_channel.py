@@ -3,6 +3,8 @@ import pytest
 
 import oracles
 from hybridpolar.channel import ChannelConfig, bpsk_modulate, initial_llrs, transmit
+from hybridpolar.decoder import combine_repetitions
+from hybridpolar.galois import build_field, unpack_symbol_array
 
 
 def test_bpsk_zero_symbol_all_plus_one():
@@ -18,6 +20,14 @@ def test_bpsk_gf4_alpha():
     # alpha = 0b10: alpha^0 coefficient 0 -> +1 first, then -1.
     x = bpsk_modulate(np.array([0b10]), 2)
     assert list(x) == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+def test_bpsk_matches_unpacked_bits(t):
+    # The table lookup gives the samples 1 - 2 * bit, alpha^0 coefficient first.
+    symbols = np.random.default_rng(t).integers(0, 1 << t, size=(3, 5))
+    expected = 1.0 - 2.0 * unpack_symbol_array(symbols, t).astype(np.float64)
+    assert np.array_equal(bpsk_modulate(symbols, t), expected.reshape(3, 5 * t))
 
 
 def test_awgn_noiseless_is_identity():
@@ -84,18 +94,27 @@ def test_config_rejects_unusable_snr(ebn0_db):
         ChannelConfig("awgn", ebn0_db, 0.5)
 
 
+def symbol_llrs(y, h, sigma2, t):
+    """The (n_symbols, 2^t) symbol LLRs of one unrepeated observation."""
+    bits = initial_llrs(y, h, sigma2)
+    return combine_repetitions(bits, np.zeros((0, bits.size // t), dtype=np.int64),
+                               build_field(t))
+
+
 def test_initial_llrs_reference_entry_zero():
     rng = np.random.default_rng(4)
     y = rng.normal(size=12)
-    s = initial_llrs(y, np.ones(12), 0.7, 4)
+    s = symbol_llrs(y, np.ones(12), 0.7, 4)
     assert s.shape == (3, 16)
     assert np.array_equal(s[:, 0], np.zeros(3))
 
 
 def test_initial_llrs_t1_against_density_oracle():
-    s = initial_llrs(np.array([1.0]), np.array([1.0]), 1.0, 1)
+    s = symbol_llrs(np.array([1.0]), np.array([1.0]), 1.0, 1)
     assert np.isclose(s[0, 1], 2.0)
     assert np.isclose(s[0, 1], oracles.density_bit_llr(1.0, 1.0, 1.0))
+    assert np.isclose(initial_llrs(np.array([1.0]), np.array([1.0]), 1.0)[0],
+                      oracles.density_bit_llr(1.0, 1.0, 1.0))
 
 
 def test_initial_llrs_match_density_oracle():
@@ -104,7 +123,7 @@ def test_initial_llrs_match_density_oracle():
         y = rng.normal(size=4 * t)
         h = rng.uniform(0.2, 2.0, size=4 * t)
         sigma2 = 0.37
-        s = initial_llrs(y, h, sigma2, t)
+        s = symbol_llrs(y, h, sigma2, t)
         for i in range(4):
             ref = oracles.density_symbol_llr(y[i * t:(i + 1) * t],
                                              h[i * t:(i + 1) * t], sigma2, t)
@@ -114,8 +133,8 @@ def test_initial_llrs_match_density_oracle():
 def test_initial_llrs_fading_with_unit_gain_equals_awgn():
     rng = np.random.default_rng(6)
     y = rng.normal(size=16)
-    s_awgn = initial_llrs(y, np.ones(16), 0.5, 2)
-    s_fade = initial_llrs(y, np.ones(16), 0.5, 2)
+    s_awgn = symbol_llrs(y, np.ones(16), 0.5, 2)
+    s_fade = symbol_llrs(y, np.ones(16), 0.5, 2)
     assert np.array_equal(s_awgn, s_fade)
 
 
@@ -125,14 +144,14 @@ def test_transmitted_symbol_attains_minimum_llr_at_low_noise():
     x = bpsk_modulate(symbols, 4)
     cfg = ChannelConfig("awgn", ebn0_db=20.0, rate=0.5)
     y, h = transmit(x, cfg, rng)
-    s = initial_llrs(y, h, cfg.sigma2, 4)
+    s = symbol_llrs(y, h, cfg.sigma2, 4)
     assert np.array_equal(np.argmin(s, axis=1), symbols)
 
 
 def test_llr_additive_over_disjoint_bit_supports():
     rng = np.random.default_rng(8)
     y = rng.normal(size=4)
-    s = initial_llrs(y, np.ones(4), 1.3, 4)[0]
+    s = symbol_llrs(y, np.ones(4), 1.3, 4)[0]
     for a in range(16):
         for b in range(16):
             if a & b == 0:
@@ -141,9 +160,10 @@ def test_llr_additive_over_disjoint_bit_supports():
 
 def test_initial_llrs_rejects_nonpositive_sigma2():
     with pytest.raises(ValueError):
-        initial_llrs(np.ones(2), np.ones(2), 0.0, 1)
+        initial_llrs(np.ones(2), np.ones(2), 0.0)
 
 
 def test_initial_llrs_rejects_bad_length():
+    # Five samples are not a whole number of t = 2 symbols.
     with pytest.raises(ValueError):
-        initial_llrs(np.ones(5), np.ones(5), 1.0, 2)
+        symbol_llrs(np.ones(5), np.ones(5), 1.0, 2)

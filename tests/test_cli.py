@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from hybridpolar import cli
 from hybridpolar.analysis import brute_force_weights, pinned_coefficients
-from hybridpolar.codespec import load_spec
+from hybridpolar.channel import MAX_LLR_SCALE, ChannelConfig
+from hybridpolar.codespec import CodeSpec, default_frozen_set, load_spec
 
 BASE_CONFIG = """\
 scheme = hybrid
@@ -265,6 +267,27 @@ def test_unusable_snr_is_diagnosed(tmp_path, constructed, capsys, ebn0):
     assert_one_error_line(capsys, "Eb/N0")
     assert cli.main(["roundtrip", "--spec", str(spec_path), "--ebn0", ebn0]) == 1
     assert_one_error_line(capsys, "Eb/N0")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme,t", [("hybrid", 2), ("hybrid", 4), ("polar_repetition", 1)])
+def test_largest_accepted_snr_decodes_cleanly(scheme, t):
+    # The largest Eb/N0 that ChannelConfig accepts puts 2/sigma^2 just under
+    # MAX_LLR_SCALE (about 1504.26 dB for this code): the repetition sums, the
+    # Stage-2 spans and the path metrics must all stay finite.
+    n, k, p, r = 16, 6, 3, 4
+    spec = CodeSpec(scheme, n=n, k=k, t=t, r=r, p=p, crc_poly=0b1011,
+                    frozen_set=default_frozen_set(n, k, p), design_snr=2.0)
+    ebn0 = 10.0 * math.log10(MAX_LLR_SCALE / (4.0 * spec.rate))
+    while True:
+        try:
+            cfg = ChannelConfig("awgn", ebn0, spec.rate)
+            break
+        except ValueError:
+            ebn0 = float(np.nextafter(ebn0, -np.inf))
+    assert 2.0 / cfg.sigma2 > MAX_LLR_SCALE * (1 - 1e-12)
+    rec = cli.simulate_point(spec, ebn0, list_size=4, seed=5, max_frames=20, target_errors=0)
+    assert rec.frames == 20 and rec.frame_errors == 0
 
 
 # --- complexity ------------------------------------------------------------------------

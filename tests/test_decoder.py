@@ -51,51 +51,58 @@ def hybrid_channel_llrs(spec, tables, info, rng, ebn0_db, coefficients=None):
     x = ch.bpsk_modulate(cw.symbols, spec.t)
     cfg = ch.ChannelConfig("awgn", ebn0_db, spec.rate)
     y, h = ch.transmit(x, cfg, rng)
-    s_in = ch.initial_llrs(y, h, cfg.sigma2, spec.t)
-    return combine_repetitions(s_in, cw.coefficients, tables)
+    return combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), cw.coefficients, tables)
 
 
 # --- permutations and repetition combining -----------------------------------
 
-def depermute(s, rho, tables):
-    """The combined LLRs of one symbol seen as (0, s) with coefficient rho: s[rho * v]."""
-    return combine_repetitions(np.stack([np.zeros_like(s), s]), np.array([[rho]]), tables)[0]
+def depermute(lam, rho, tables):
+    """The combined LLRs of one symbol seen as bit LLRs (0, lam) with coefficient rho.
+
+    Entry v is S[rho * v], S being the symbol LLR vector of lam.
+    """
+    return combine_repetitions(np.concatenate([np.zeros_like(lam), lam]),
+                               np.array([[rho]]), tables)[0]
+
+
+def expand(lam, t):
+    """Symbol LLR vectors of bit LLRs, by the symbol-domain oracle (scale 2/2 = 1)."""
+    return oracles.symbol_llrs(lam, np.ones_like(lam), 2.0, t)
 
 
 def test_permute_identity():
-    s = np.array([0.0, 1.0, 2.0, 3.0])
-    assert np.array_equal(depermute(s, 1, GF4), s)
+    lam = np.array([1.0, 2.0])
+    assert np.array_equal(depermute(lam, 1, GF4), [0.0, 1.0, 2.0, 3.0])
 
 
 def test_permute_gf4_alpha_cycles():
-    s = np.array([0.0, 10.0, 20.0, 30.0])
-    out = depermute(s, 0b10, GF4)
+    lam = np.array([10.0, 20.0])            # symbol LLRs [0, 10, 20, 30]
+    out = depermute(lam, 0b10, GF4)
     assert list(out) == [0.0, 20.0, 30.0, 10.0]
 
 
 def test_permute_group_action():
+    # Integer-valued bit LLRs: every sum is exact whatever its order.
     rng = np.random.default_rng(0)
-    s = rng.normal(size=16)
-    s[0] = 0.0
+    lam = rng.integers(-50, 51, size=4).astype(np.float64)
     for r1 in range(1, 16):
         for r2 in range(1, 16):
-            lhs = depermute(depermute(s, r1, GF16), r2, GF16)
-            rhs = depermute(s, int(GF16.mul[r1, r2]), GF16)
+            lhs = depermute(lam, r1, GF16)[GF16.mul[r2]]
+            rhs = depermute(lam, int(GF16.mul[r1, r2]), GF16)
             assert np.array_equal(lhs, rhs)
 
 
 def test_combine_r1_passthrough():
-    s = np.arange(8.0).reshape(2, 4)
-    s[:, 0] = 0
-    out = combine_repetitions(s, np.zeros((0, 2), dtype=np.int64), GF4)
-    assert np.array_equal(out, s)
+    lam = np.array([1.0, 2.0, -3.0, 5.0])
+    out = combine_repetitions(lam, np.zeros((0, 2), dtype=np.int64), GF4)
+    assert np.array_equal(out, expand(lam, 2))
+    assert np.array_equal(out, [[0.0, 1.0, 2.0, 3.0], [0.0, -3.0, 5.0, 2.0]])
 
 
 def test_combine_unit_rho_triples():
-    s1 = np.array([[0.0, 1.0, 2.0, 3.0]])
-    s = np.tile(s1, (3, 1))
-    out = combine_repetitions(s, np.ones((2, 1), dtype=np.int64), GF4)
-    assert np.allclose(out, 3 * s1)
+    lam1 = np.array([1.0, 2.0])             # symbol LLRs [0, 1, 2, 3]
+    out = combine_repetitions(np.tile(lam1, 3), np.ones((2, 1), dtype=np.int64), GF4)
+    assert np.allclose(out, 3 * np.array([[0.0, 1.0, 2.0, 3.0]]))
 
 
 def test_combine_matches_joint_density_oracle():
@@ -107,8 +114,7 @@ def test_combine_matches_joint_density_oracle():
     symbols = np.concatenate([z] + [GF4.mul[rho[j], z] for j in range(r - 1)])
     x = ch.bpsk_modulate(symbols, t)
     y = x + rng.normal(0, np.sqrt(sigma2), size=x.size)
-    s_in = ch.initial_llrs(y, np.ones_like(y), sigma2, t)
-    got = combine_repetitions(s_in, rho, GF4)
+    got = combine_repetitions(ch.initial_llrs(y, np.ones_like(y), sigma2), rho, GF4)
     # Oracle: joint Gaussian log densities over the r observations.
     for i in range(n2):
         for v in range(4):
@@ -126,29 +132,77 @@ def test_combine_matches_joint_density_oracle():
 
 
 def test_combine_rejects_length_mismatch():
+    # r * n2 * t = 2 * 2 * 2 = 8 bit LLRs expected.
     with pytest.raises(ValueError):
-        combine_repetitions(np.zeros((5, 4)), np.ones((1, 2), dtype=np.int64), GF4)
+        combine_repetitions(np.zeros(10), np.ones((1, 2), dtype=np.int64), GF4)
     # Coefficients for fewer frames than LLRs: one frame's offsets would
     # otherwise be reused for every frame.
     with pytest.raises(ValueError, match="shape"):
-        combine_repetitions(np.zeros((3, 4, 4)), np.ones((1, 2), dtype=np.int64), GF4)
+        combine_repetitions(np.zeros((3, 8)), np.ones((1, 2), dtype=np.int64), GF4)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("bad", [0, 4])
+def test_combine_rejects_coefficient_out_of_range(bad, pinned):
+    # A 0 would drop its observation (0 * v = 0 for every v) and a value >= q
+    # would add it to the next symbol's sums.
+    rho = np.ones((3, 2, 4), dtype=np.int64)
+    if pinned:
+        row = np.ones((2, 4), dtype=np.int64)
+        row[1, 2] = bad
+        rho = np.broadcast_to(row, rho.shape)
+    else:
+        rho[2, 1, 2] = bad
+    with pytest.raises(ValueError, match="nonzero field elements"):
+        combine_repetitions(np.zeros((3, 3 * 4 * 2)), rho, GF4)
 
 
 @pytest.mark.parametrize("t", [1, 2, 4])
 @pytest.mark.parametrize("r", [1, 3])
 def test_combine_matches_take_along_axis(t, r):
-    # The flat take gathers exactly what take_along_axis gathers, for
-    # per-frame and for pinned (broadcast) coefficients alike.
+    # The bit-domain combine equals expanding every repeat to its symbol LLR
+    # vector and gathering with take_along_axis, for per-frame and for pinned
+    # (broadcast) coefficients alike.  Integer-valued bit LLRs keep it exact.
     gf, q, n2 = build_field(t), 1 << t, 8
     rng = np.random.default_rng(30 + 3 * t + r)
-    s_in = rng.normal(size=(5, r * n2, q))
+    lam = rng.integers(-20, 21, size=(5, r * n2 * t)).astype(np.float64)
     per_frame = rng.integers(1, q, size=(5, r - 1, n2))
     pinned = np.broadcast_to(per_frame[0], per_frame.shape)
-    blocks = s_in.reshape(5, r, n2, q)
+    blocks = expand(lam, t).reshape(5, r, n2, q)
     for rho in (per_frame, pinned):
         rest = np.take_along_axis(blocks[:, 1:], gf.mul[rho], axis=-1)
         expected = blocks[:, 0] + rest.sum(axis=1)
-        assert np.array_equal(combine_repetitions(s_in, rho, gf), expected)
+        assert np.array_equal(combine_repetitions(lam, rho, gf), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([1, 2, 4]),
+       r=st.sampled_from([1, 2, 3, 16]), n2=st.integers(1, 6),
+       frames=st.sampled_from([None, 1, 3]), pinned=st.booleans(),
+       integer=st.booleans())
+def test_combine_matches_permute_and_add(seed, t, r, n2, frames, pinned, integer):
+    # The bit-domain combine against the symbol-domain oracle: expand each
+    # repeat to its 2^t LLR vector, de-permute by its coefficient, add.
+    gf = build_field(t)
+    rng = np.random.default_rng(seed)
+    lead = () if frames is None else (frames,)
+    if integer:
+        lam = rng.integers(-1000, 1001, size=lead + (r * n2 * t,)).astype(np.float64)
+    else:
+        lam = rng.normal(0.0, 5.0, size=lead + (r * n2 * t,))
+    if pinned:
+        rho = np.broadcast_to(rng.integers(1, gf.q, size=(r - 1, n2)), lead + (r - 1, n2))
+    else:
+        rho = rng.integers(1, gf.q, size=lead + (r - 1, n2))
+    got = combine_repetitions(lam, rho, gf)
+    expected = oracles.permute_and_add(expand(lam, t), rho, gf)
+    assert got.shape == lead + (n2, gf.q)
+    if integer:
+        assert np.array_equal(got, expected)
+    else:
+        # Sums of opposite signs cancel; their rounding is relative to the summands.
+        np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                   atol=1e-12 * r * t * np.abs(lam).max())
 
 
 # --- Stage-2 updates -----------------------------------------------------------
@@ -536,8 +590,7 @@ def test_coefficient_transparency_statistical():
         x = ch.bpsk_modulate(np.concatenate(blocks, axis=-1), spec.t)
         cfg = ch.ChannelConfig("awgn", -2.0, spec.rate)
         y, h = ch.transmit(x, cfg, rng)
-        s_in = ch.initial_llrs(y, h, cfg.sigma2, spec.t)
-        s_inner = combine_repetitions(s_in, coeffs, tables)
+        s_inner = combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), coeffs, tables)
         out = scl_decode_batch(spec, s_inner, 1, crc_on=False, mode="sc")
         errs = (out.u_hat[:, spec.unfrozen_indices()] != info).any(axis=1).sum()
         fer[use_rho] = errs / frames
@@ -578,7 +631,7 @@ def test_baseline_noiseless_roundtrip():
         info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
         x = 1.0 - 2.0 * enc.encode_baseline(info, spec).symbols
         y, h = ch.transmit(x, cfg, rng)
-        llrs = (2.0 / cfg.sigma2) * h * y
+        llrs = ch.initial_llrs(y, h, cfg.sigma2)
         res = baseline_decode_batch(spec, llrs[None], L)
         assert np.array_equal(res.u_hat[0, spec.unfrozen_indices()[:spec.k]], info)
 
@@ -591,7 +644,7 @@ def test_baseline_scl_l1_matches_sc():
         info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
         x = 1.0 - 2.0 * enc.encode_baseline(info, spec).symbols
         y, h = ch.transmit(x, cfg, rng)
-        llrs = (2.0 / cfg.sigma2) * h * y
+        llrs = ch.initial_llrs(y, h, cfg.sigma2)
         assert np.array_equal(baseline_decode_batch(spec, llrs[None], 1, crc_on=False).u_hat,
                               baseline_decode_batch(spec, llrs[None], 1, crc_on=False,
                                                     mode="sc").u_hat)
@@ -611,9 +664,8 @@ def test_hybrid_t1_unit_rho_matches_baseline_decisions():
         cw = enc.encode_hybrid(info, spec_h, gf2, coefficients=ones)
         x = ch.bpsk_modulate(cw.symbols, 1)
         y, h = ch.transmit(x, cfg, rng)
-        s_in = ch.initial_llrs(y, h, cfg.sigma2, 1)
-        s_inner.append(combine_repetitions(s_in, ones, gf2))
-        llrs.append((2.0 / cfg.sigma2) * h * y)
+        llrs.append(ch.initial_llrs(y, h, cfg.sigma2))
+        s_inner.append(combine_repetitions(llrs[-1], ones, gf2))
     for L in (1, 4):
         res_h = scl_decode_batch(spec_h, np.stack(s_inner), L)
         res_b = baseline_decode_batch(spec_b, np.stack(llrs), L)
@@ -633,8 +685,7 @@ def test_genie_no_errors_when_noiseless():
     rho = np.ones((4, spec.r - 1, spec.n // spec.t), dtype=np.int64)
     symbols = np.concatenate([z, z], axis=-1)
     y = ch.bpsk_modulate(symbols, spec.t)
-    s_in = ch.initial_llrs(y, np.ones_like(y), 1e-4, spec.t)
-    s_inner = combine_repetitions(s_in, rho, tables)
+    s_inner = combine_repetitions(ch.initial_llrs(y, np.ones_like(y), 1e-4), rho, tables)
     firsts = genie_first_errors(spec, s_inner, u)
     assert np.array_equal(firsts, -np.ones(4))
 
@@ -766,8 +817,7 @@ def test_hybrid_t1_unit_rho_equals_baseline(seed, frozen, list_size, mode, crc_o
     spec_h, spec_b = (spec_for(scheme=scheme, n=n, k=n - p - len(frozen), t=1, r=r, p=p,
                                frozen=frozen) for scheme in ("hybrid", "polar_repetition"))
     llrs = np.random.default_rng(seed).normal(1.0, 2.0, size=(4, r * n))
-    s_in = np.stack([np.zeros_like(llrs), llrs], axis=-1)   # t = 1 vectors [0, llr]
-    s_inner = combine_repetitions(s_in, np.ones((4, r - 1, n), dtype=np.int64), build_field(1))
+    s_inner = combine_repetitions(llrs, np.ones((4, r - 1, n), dtype=np.int64), build_field(1))
     hyb = scl_decode_batch(spec_h, s_inner, list_size, crc_on=crc_on, return_paths=True,
                            mode=mode)
     base = baseline_decode_batch(spec_b, llrs, list_size, crc_on=crc_on, return_paths=True,
