@@ -9,7 +9,8 @@ Decoding a hybrid frame has four parts:
    vector is formed per repeat;
 2. Stage 2 runs successive cancellation over the symbol-level Arikan
    kernel, propagating whole LLR vectors through min-sum check and
-   variable updates (:func:`stage2_plus` / :func:`stage2_minus`);
+   variable updates (:func:`stage2_plus`, a min-plus run symbol-major,
+   and :func:`stage2_minus`);
 3. at each Stage-2 leaf, Stage 1 peels the t bits of the symbol one at
    a time, turning the symbol LLR vector into scalar bit LLRs by
    minimising over the still-undecided bits of the group;
@@ -17,7 +18,8 @@ Decoding a hybrid frame has four parts:
    every unfrozen bit and are pruned back to the L smallest metrics,
    and the re-packed symbol is fed back into the Stage-2 recursion.
    A frozen (rate-0) subtree is skipped: it decodes to zero with a
-   closed-form penalty (:func:`stage2_rate0_penalty`).  Decisions are
+   closed-form penalty (:func:`stage2_rate0_penalty`), and a frozen left
+   child skips even its check update.  Decisions are
    stored once with their parent pointers, not copied per path, and
    one backtrack at the end reads out every survivor.
 
@@ -93,17 +95,21 @@ def stage2_plus(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
     """Min-sum check-node update for the first input of a symbol kernel.
 
     out[s] = min_u(s_plus[s^u] + s_minus[u]) - min_u(s_plus[u] + s_minus[u]);
-    entry 0 is exactly zero.
+    entry 0 is exactly zero.  It runs symbol-major on (q, M) copies: row v holds entry v
+    of every vector, and s ^ u flips the bit axes of their (2,)*t + (M,) view.
     """
-    s_plus = np.asarray(s_plus, dtype=np.float64)
-    s_minus = np.asarray(s_minus, dtype=np.float64)
-    q = s_plus.shape[-1]
-    values = np.arange(q)
-    acc = s_plus + s_minus[..., :1]
+    q = np.shape(s_plus)[-1]
+    t = q.bit_length() - 1
+    a, b = (np.ascontiguousarray(np.moveaxis(x, -1, 0), dtype=np.float64).reshape(q, -1)
+            for x in (s_plus, s_minus))
+    a_bits = a.reshape((2,) * t + (-1,))
+    acc = a + b[0]
+    cand = np.empty_like(acc)
     for u in range(1, q):
-        cand = s_plus[..., values ^ u] + s_minus[..., u:u + 1]
+        flips = tuple(t - 1 - j for j in range(t) if u >> j & 1)   # axis 0 holds bit t-1
+        np.add(np.flip(a_bits, axis=flips), b[u], out=cand.reshape(a_bits.shape))
         np.minimum(acc, cand, out=acc)
-    return acc - acc[..., :1]
+    return np.subtract(acc.T, acc[:1].T, order="C").reshape(np.shape(s_plus))
 
 
 def stage2_minus(s_plus: np.ndarray, s_minus: np.ndarray,
@@ -303,13 +309,18 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int
         return leaf(state, s[:, :, 0], first)[:, :, None]
     # The left half of the span carries the XOR of the two virtual
     # inputs, the right half the second one alone.
-    s_left = plus(s[:, :, :half], s[:, :, half:])
-    epoch = len(state.origins)
-    x_left = _span(state, s_left, plus, minus, leaf, rate0, first)
-    origin = state.origin_since(epoch)
-    if origin is not None:
-        s = _gather_paths(s, origin)
+    left_frozen = state.leaf_frozen[first:first + half].all()
+    if left_frozen:
+        x_left = np.zeros(s.shape[:2] + (half,), dtype=np.int8)
+    else:
+        epoch = len(state.origins)
+        x_left = _span(state, plus(s[:, :, :half], s[:, :, half:]), plus, minus, leaf, rate0, first)
+        origin = state.origin_since(epoch)
+        if origin is not None:
+            s = _gather_paths(s, origin)
     s_right = minus(s[:, :, :half], s[:, :, half:], x_left)
+    if left_frozen and state.mode == "list":   # the span's rate-0 penalty less the right child's
+        state.pm += rate0(s) - rate0(s_right)
     epoch = len(state.origins)
     x_right = _span(state, s_right, plus, minus, leaf, rate0, first + half)
     origin = state.origin_since(epoch)
@@ -409,12 +420,19 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
     )
 
 
+MAX_PATH_ENTRIES = 1 << 24   # most LLRs in one frame's widest path array, the full-width root span
+
+
 def _list_decode(spec: "CodeSpec", channel_input: np.ndarray, list_size: int,
                  crc_on: bool, return_paths: bool, mode: str) -> BatchDecodeResult:
     if list_size < 1:
         raise ValueError("list size must be >= 1")
     if mode not in ("list", "sc"):
         raise ValueError(f"decoder mode must be 'list' or 'sc', got {mode!r}")
+    per_path = (spec.n // spec.t) << spec.t if spec.scheme == "hybrid" else spec.n
+    if mode == "list" and min(list_size, 2 ** (spec.k + spec.p)) * per_path > MAX_PATH_ENTRIES:
+        raise ValueError(f"list size {list_size} needs more than {MAX_PATH_ENTRIES} "
+                         f"path LLR entries per frame ({per_path} per path)")
     state = _PathState(channel_input.shape[0], spec.n, list_size,
                        spec.frozen_mask(), mode)
     _decode(spec, state, channel_input)

@@ -251,8 +251,10 @@ def multiplicative_repeat(
             )
         if np.any(coefficients == 0) or np.any(coefficients >= tables.q):
             raise ValueError("repetition coefficients must be nonzero field elements")
-    blocks = [z] + [tables.mul[coefficients[..., j, :], z] for j in range(r - 1)]
-    return Codeword(symbols=np.concatenate(blocks, axis=-1), coefficients=coefficients)
+    rest = tables.mul[coefficients, z[..., None, :]]                     # (..., r-1, n2)
+    blocks = np.empty(rest.shape[:-2] + (r, z.shape[-1]), dtype=np.int64)
+    blocks[..., 0, :], blocks[..., 1:, :] = z, rest
+    return Codeword(symbols=blocks.reshape(rest.shape[:-2] + (-1,)), coefficients=coefficients)
 
 
 def encode_hybrid(

@@ -3,7 +3,8 @@
 Everything here is written naively and separately from the package
 internals: CRC by explicit long division over coefficient lists, polar
 transforms by dense Kronecker matrices, LLRs from Gaussian densities,
-and the min-sum updates by direct enumeration of the defining formulas.
+and the min-sum updates by direct enumeration of the defining formulas
+(plus the vector-major check update that the decoder runs symbol-major).
 The layered Stage-1 update and the scalar path-metric step are the
 textbook per-layer and per-bit rules that the decoder replaces with one
 table lookup (Stage 1) and one batched branch (the metric).  The
@@ -121,6 +122,23 @@ def stage2_plus_enum(s_plus, s_minus) -> np.ndarray:
         min(s_plus[s ^ u] + s_minus[u] for u in range(q)) - base
         for s in range(q)
     ])
+
+
+def stage2_plus_gather(s_plus, s_minus) -> np.ndarray:
+    """The vector-major check update: one gather of every (..., q) row per u.
+
+    Its operands and the order of its exact minima are those of the
+    decoder's symbol-major kernel, so the two agree bit for bit.
+    """
+    s_plus = np.asarray(s_plus, dtype=np.float64)
+    s_minus = np.asarray(s_minus, dtype=np.float64)
+    q = s_plus.shape[-1]
+    values = np.arange(q)
+    acc = s_plus + s_minus[..., :1]
+    for u in range(1, q):
+        cand = s_plus[..., values ^ u] + s_minus[..., u:u + 1]
+        np.minimum(acc, cand, out=acc)
+    return acc - acc[..., :1]
 
 
 def stage2_minus_enum(s_plus, s_minus, u0: int) -> np.ndarray:

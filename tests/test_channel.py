@@ -131,11 +131,19 @@ def test_initial_llrs_match_density_oracle():
 
 
 def test_initial_llrs_fading_with_unit_gain_equals_awgn():
+    # Block fading draws one positive gain per block of N/B samples, and the
+    # receiver's LLRs are (2/sigma^2) * h * y; with unit gains that is the AWGN rule.
     rng = np.random.default_rng(6)
-    y = rng.normal(size=16)
-    s_awgn = symbol_llrs(y, np.ones(16), 0.5, 2)
-    s_fade = symbol_llrs(y, np.ones(16), 0.5, 2)
-    assert np.array_equal(s_awgn, s_fade)
+    x = bpsk_modulate(rng.integers(0, 4, size=32), 2)            # N = 64 samples
+    cfg = ChannelConfig("rayleigh_block", ebn0_db=2.0, rate=0.5, fading_blocks=4)
+    y, h = transmit(x, cfg, rng)
+    blocks = h.reshape(4, 16)
+    assert (h > 0).all() and (blocks == blocks[:, :1]).all()
+    assert len(np.unique(blocks[:, 0])) == 4
+    lam = initial_llrs(y, h, cfg.sigma2)
+    np.testing.assert_allclose(lam, (2.0 / cfg.sigma2) * h * y, rtol=1e-15, atol=0)
+    awgn = initial_llrs(y, np.ones_like(h), cfg.sigma2)
+    np.testing.assert_allclose(awgn, (2.0 / cfg.sigma2) * y, rtol=1e-15, atol=0)
 
 
 def test_transmitted_symbol_attains_minimum_llr_at_low_noise():

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from hybridpolar import cli
 from hybridpolar.analysis import brute_force_weights, pinned_coefficients
 from hybridpolar.channel import MAX_LLR_SCALE, ChannelConfig
-from hybridpolar.codespec import CodeSpec, default_frozen_set, load_spec
+from hybridpolar.codespec import CodeSpec, default_frozen_set, load_spec, save_spec
 
 BASE_CONFIG = """\
 scheme = hybrid
@@ -339,3 +342,39 @@ def test_missing_file_is_diagnosed(capsys, tmp_path):
     assert cli.main(["simulate", str(tmp_path / "nope.cfg"),
                      "--spec", str(tmp_path / "nope.spec")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# A child process with this address-space cap: an unchecked list size then ends
+# in a MemoryError instead of filling the host's memory.
+CHILD_MEMORY_CAP = 1 << 30
+CAPPED_MAIN = ("import resource, sys\n"
+               f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_MEMORY_CAP}, {CHILD_MEMORY_CAP}))\n"
+               "from hybridpolar import cli\n"
+               "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("command", ["weights", "simulate"])
+@pytest.mark.parametrize("list_size", [1024, 2**40])
+def test_list_size_is_bounded_by_the_path_budget(tmp_path, command, list_size):
+    # Paths double on every unfrozen bit until they reach L, so an L whose path
+    # arrays exceed the decoder's budget is refused with one error line.  The
+    # weights default L = 1024 stays accepted at the paper's GF(16), n = 512 size.
+    text = edit_config(BASE_CONFIG, n=512, k=80, t=4, r=16, crc_len=6, list_size=list_size,
+                       ebn0_list="1.5", max_frames=8)
+    cfg_path = write_config(tmp_path, text)
+    spec_path = tmp_path / "code.spec"
+    save_spec(cli.spec_from_config(cli.parse_config(cfg_path)), spec_path)
+    args = {"weights": ["weights", "--spec", str(spec_path), "--list-size", str(list_size),
+                        "--snr", "40.0", "--seed", "3", "-o", str(tmp_path / "w.csv")],
+            "simulate": ["simulate", str(cfg_path), "--spec", str(spec_path),
+                         "-o", str(tmp_path / "s.csv")]}[command]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if list_size == 1024:
+        assert proc.returncode == 0, proc.stderr
+        return
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: list size") and proc.stderr.count("\n") == 1, proc.stderr

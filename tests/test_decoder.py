@@ -274,6 +274,25 @@ def test_stage2_vectorised_over_leading_axes():
                                oracles.stage2_minus_enum(sp[i, j], sm[i, j], u0[i, j]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([1, 2, 4]),
+       lead=st.sampled_from([(), (5,), (2, 3, 4), (3, 1, 1), (1, 2, 8)]))
+def test_stage2_plus_matches_gather_oracle(seed, t, lead):
+    # The symbol-major kernel forms the same sums and exact minima as the
+    # vector-major gather, so the two agree bit for bit, also on the
+    # strided halves s[:, :, :half] that _span passes.
+    rng = np.random.default_rng(seed)
+    q = 1 << t
+    if len(lead) == 3:
+        s = rng.normal(0.5, 3.0, size=lead[:2] + (2 * lead[2], q))
+        s_plus, s_minus = s[:, :, :lead[2]], s[:, :, lead[2]:]
+    else:
+        s_plus, s_minus = rng.normal(0.5, 3.0, size=(2,) + lead + (q,))
+    got = stage2_plus(s_plus, s_minus)
+    assert got.shape == lead + (q,) and got.flags.c_contiguous
+    assert np.array_equal(got, oracles.stage2_plus_gather(s_plus, s_minus))
+
+
 # --- Stage-1 updates -------------------------------------------------------------
 
 def test_stage1_t1_is_entry_one():
@@ -474,6 +493,36 @@ def test_binary_rate0_penalty_matches_bitwise_sc(seed, length):
         assert np.isclose(got[f, a], expected, rtol=PM_TOL, atol=PM_TOL)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from([1, 2, 4, "baseline"]),
+       half=st.sampled_from([1, 2, 4]), mode=st.sampled_from(["list", "sc"]))
+def test_frozen_left_child_price(seed, family, half, mode):
+    # A frozen left child is priced without its check update: in list mode the
+    # metric grows by rate0(plus(A, B)); SC metrics ignore frozen bits.
+    rng = np.random.default_rng(seed)
+    if family == "baseline":
+        plus, minus, rate0 = _f_bin, _g_bin, _rate0_bin
+        s = rng.normal(0.0, 3.0, size=(2, 3, 2 * half))
+    else:
+        plus, minus, rate0 = stage2_plus, stage2_minus, stage2_rate0_penalty
+        s = rng.normal(0.5, 3.0, size=(2, 3, 2 * half, 1 << family))
+    state = _PathState(2, 2 * half, 8, np.arange(2 * half) < half, mode)
+    state.pm = np.zeros((2, 3))
+    leaves = []
+
+    def leaf(state, s_i, i):   # decides 0 and leaves the metric alone
+        leaves.append(i)
+        return np.zeros(s_i.shape[:2], dtype=np.int64)
+
+    x = decoder._span(state, s, plus, minus, leaf, rate0, 0)
+    assert leaves == list(range(half, 2 * half)) and not x.any()
+    if mode == "list":
+        expected = rate0(plus(s[:, :, :half], s[:, :, half:]))
+        np.testing.assert_allclose(state.pm, expected, rtol=PM_TOL, atol=PM_TOL)
+    else:
+        assert not state.pm.any()
+
+
 def test_rate0_subtrees_are_not_descended(monkeypatch):
     # With the lowest half of the leaves frozen, the check update runs
     # only along the unfrozen right half; genie mode freezes nothing.
@@ -488,13 +537,14 @@ def test_rate0_subtrees_are_not_descended(monkeypatch):
     spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
     scl_decode_batch(spec_h, rng.normal(size=(2, 8, 4)), 4)
     baseline_decode_batch(spec_b, rng.normal(size=(2, 32)), 4)
-    assert (len(plus_calls), len(f_calls)) == (4, 8)          # 7 and 15 without skipping
+    # 7 and 15 without skipping; the root's check update only fed its frozen left child.
+    assert (len(plus_calls), len(f_calls)) == (3, 7)
     # Nonnegative LLR vectors decode to the all-zero truth without error, so the
     # genie pass, which stops only once every trial has erred, visits all 7 nodes.
     clean = np.abs(rng.normal(size=(2, 8, 4)))
     clean[..., 0] = 0.0
     assert (genie_first_errors(spec_h, clean, np.zeros((2, 16), dtype=np.int8)) == -1).all()
-    assert len(plus_calls) == 4 + 7
+    assert len(plus_calls) == 3 + 7
 
 
 # --- End-to-end decoding ------------------------------------------------------------
@@ -858,6 +908,25 @@ def test_unknown_mode_is_rejected(mode):
         scl_decode_batch(spec_h, np.ones((1, 8, 4)), 4, mode=mode)
     with pytest.raises(ValueError, match="mode"):
         baseline_decode_batch(spec_b, np.ones((1, 32)), 4, mode=mode)
+
+
+def test_list_size_budget_counts_reachable_paths(monkeypatch):
+    # k + p = 3 unfrozen bits reach at most 8 paths; a hybrid path holds
+    # n/t * 2^t = 32 LLR entries, a baseline path n = 16.
+    spec_h = spec_for(n=16, k=3, t=2, r=2)
+    spec_b = spec_for(scheme="polar_repetition", n=16, k=3, t=1, r=2)
+    x_h, x_b = np.ones((1, 8, 4)), np.ones((1, 32))
+    monkeypatch.setattr(decoder, "MAX_PATH_ENTRIES", 4 * 32)
+    scl_decode_batch(spec_h, x_h, 4)
+    scl_decode_batch(spec_h, x_h, 5, mode="sc")             # SC keeps one path
+    baseline_decode_batch(spec_b, x_b, 8)
+    with pytest.raises(ValueError, match="list size 5"):
+        scl_decode_batch(spec_h, x_h, 5)
+    monkeypatch.setattr(decoder, "MAX_PATH_ENTRIES", 8 * 32)
+    scl_decode_batch(spec_h, x_h, 2**40)
+    monkeypatch.setattr(decoder, "MAX_PATH_ENTRIES", 8 * 16 - 1)
+    with pytest.raises(ValueError, match="list size"):
+        baseline_decode_batch(spec_b, x_b, 2**40)
 
 
 def test_decode_leaves_no_path_state_behind():
