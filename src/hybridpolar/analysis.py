@@ -103,7 +103,7 @@ class WeightHistogram:
         return "\n".join(lines) + "\n"
 
 
-# Paths re-encoded per encoder call: caps the (rows, N/t) int64 streams at 2 MB for N/t = 2048.
+# Messages brute force encodes per batch.
 _WEIGHT_CHUNK = 128
 
 
@@ -111,14 +111,19 @@ def _codeword_weights(u_rows, spec: CodeSpec, tables, coefficients) -> np.ndarra
     """Channel-bit weights of the codewords of (rows, n) u vectors.
 
     ``coefficients`` is the (r-1, n/t) array every row shares, or None (r = 1, baseline).
+    Only the outer code is encoded: outer symbol i of value v sends
+    W[i, v] = popcount(v) + sum_j popcount(rho_{j,i} * v) bits over its r repeats.
     """
-    t = spec.t if spec.scheme == "hybrid" else 1
-    popcount = unpack_symbol_array(np.arange(1 << t), t).sum(-1).astype(np.int8)
-    weights = np.empty(len(u_rows), dtype=np.int64)
-    for i in range(0, len(u_rows), _WEIGHT_CHUNK):
-        symbols = _encoder.encode_u_vector(u_rows[i:i + _WEIGHT_CHUNK], spec, tables, coefficients)
-        weights[i:i + _WEIGHT_CHUNK] = popcount[symbols].sum(-1)
-    return weights
+    if spec.scheme != "hybrid":
+        return spec.r * _encoder.polar_transform(u_rows).sum(-1, dtype=np.int64)
+    n2 = spec.n // spec.t
+    rho = np.zeros((0, n2), np.int64) if coefficients is None else np.asarray(coefficients)
+    if rho.shape != (spec.r - 1, n2) or not np.all((rho >= 1) & (rho < tables.q)):
+        raise ValueError(f"coefficients must be ({spec.r - 1}, {n2}) nonzero field elements")
+    popcount = unpack_symbol_array(np.arange(tables.q), spec.t).sum(-1, dtype=np.int64)
+    table = popcount + popcount[tables.mul[rho]].sum(0)                    # W, (n2, q)
+    z = _encoder.encode_stage2(_encoder.encode_stage1(u_rows, spec.t, spec.encoder_variant))
+    return table[np.arange(n2), z].sum(-1)
 
 
 def _add_weights(hist: WeightHistogram, weights: np.ndarray) -> None:
@@ -132,11 +137,11 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
     """Estimate the low-weight spectrum from a large-list decode of zero.
 
     The all-zero codeword is transmitted at ``high_snr_db``; every path
-    surviving the list decode (no CRC filtering) is re-encoded under
-    the pinned coefficients and its nonzero bit weight recorded.  No
-    dedup is needed: two paths differ at the bit where their lineages
-    split, and pruning only drops paths.  Re-encoding runs
-    ``_WEIGHT_CHUNK`` paths at a time, so its memory is bounded in L.
+    surviving the list decode (no CRC filtering) is weighed under the
+    pinned coefficients and its nonzero bit weight recorded.  No dedup
+    is needed: two paths differ at the bit where their lineages split,
+    and pruning only drops paths.  Only the outer code is re-encoded; a
+    per-symbol table gives each outer symbol's bits over its r repeats.
     """
     tables = spec.field_tables()
     hybrid = spec.scheme == "hybrid"

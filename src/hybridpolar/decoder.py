@@ -11,9 +11,9 @@ Decoding a hybrid frame has four parts:
    kernel, propagating whole LLR vectors through min-sum check and
    variable updates (:func:`stage2_plus`, a min-plus run symbol-major,
    and :func:`stage2_minus`);
-3. at each Stage-2 leaf, Stage 1 peels the t bits of the symbol one at
-   a time, turning the symbol LLR vector into scalar bit LLRs by
-   minimising over the still-undecided bits of the group;
+3. at each Stage-2 leaf, Stage 1 puts the symbol LLR vector in input-tuple
+   order and halves it into a tree of minima once, so each of the t bits,
+   peeled one at a time, is a difference of two of its entries;
 4. decided bits update the path metric, list paths branch two ways on
    every unfrozen bit and are pruned back to the L smallest metrics,
    and the re-packed symbol is fed back into the Stage-2 recursion.
@@ -141,23 +141,29 @@ def stage2_rate0_penalty(s: np.ndarray) -> np.ndarray:
     return (s[..., 0] - s.min(axis=-1)).sum(axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
-def stage1_leaf_table(t: int, variant: str) -> tuple:
-    """Per-bit symbol indices that Stage-1 extraction minimises over.
+def _stage1_min_tree(s: np.ndarray, block_map: np.ndarray) -> np.ndarray:
+    """Halving minima of (..., q) symbol LLRs in Stage-1 input order, as (..., 2q - 2).
 
-    Entry j is a read-only (2^j, 2, 2^(t-1-j)) array whose element
-    [prefix, beta, c] is the symbol produced by the group whose first j
-    bits are ``prefix``, whose bit j is beta and whose remaining bits
-    are the free completion c.
+    Level k = 1..t sits at offset 2^k - 2: its entry w < 2^k is the minimum of
+    s[block_map[w']] over every input tuple w' whose low k bits are w.
     """
-    block_map = stage1_block_map(t, variant)
-    table = []
-    for j in range(t):
-        pfx, beta, free = np.ogrid[:1 << j, :2, :1 << (t - 1 - j)]
-        idx = block_map[pfx | (beta << j) | (free << (j + 1))]
-        idx.setflags(write=False)
-        table.append(idx)
-    return tuple(table)
+    q = s.shape[-1]
+    tree = np.empty(s.shape[:-1] + (2 * q - 2,))
+    tree[..., q - 2:] = s[..., block_map]
+    h = q // 2
+    while h > 1:   # level k from level k + 1, with h = 2^k
+        np.minimum(tree[..., 2 * h - 2:3 * h - 2], tree[..., 3 * h - 2:4 * h - 2],
+                   out=tree[..., h - 2:2 * h - 2])
+        h //= 2
+    return tree
+
+
+def _stage1_bit(tree: np.ndarray, prefix, j: int) -> np.ndarray:
+    """LLR of input bit j given the packed prefix of bits 0..j-1: two reads of level j + 1."""
+    prefix = np.asarray(prefix)
+    lo = (2 << j) - 2 + prefix + tree.shape[-1] * np.arange(prefix.size).reshape(prefix.shape)
+    flat = tree.reshape(-1)
+    return flat[lo + (1 << j)] - flat[lo]
 
 
 def stage1_bit_llr(s: np.ndarray, u_prefix, i: int, t: int,
@@ -165,18 +171,19 @@ def stage1_bit_llr(s: np.ndarray, u_prefix, i: int, t: int,
     """Scalar LLR of bit i of a symbol group, given the decided prefix.
 
     Minimises the symbol LLR vector over all completions of the group
-    that are consistent with (prefix, bit=1) versus (prefix, bit=0),
-    mapping each completion through the Stage-1 kernel of ``variant``.
-    This reads the same :func:`stage1_leaf_table` the decoder uses.
+    consistent with (prefix, bit=1) versus (prefix, bit=0), mapped through
+    the Stage-1 kernel of ``variant``, from the min tree the decoder builds.
     """
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape != (1 << t,):
+        raise ValueError(f"symbol LLR vector must have shape ({1 << t},), got {s.shape}")
     if not 0 <= i < t:
         raise ValueError(f"bit index {i} out of range for t={t}")
     u_prefix = list(u_prefix)
-    if len(u_prefix) != i:
-        raise ValueError(f"prefix must hold exactly {i} decided bits")
+    if len(u_prefix) != i or any(b not in (0, 1) for b in u_prefix):
+        raise ValueError(f"prefix must hold exactly {i} decided bits, each 0 or 1: {u_prefix}")
     pfx = sum(int(b) << j for j, b in enumerate(u_prefix))
-    mins = np.asarray(s, dtype=np.float64)[stage1_leaf_table(t, variant)[i][pfx]].min(axis=-1)
-    return float(mins[1] - mins[0])
+    return float(_stage1_bit(_stage1_min_tree(s, stage1_block_map(t, variant)), pfx, i))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +215,9 @@ class _PathState:
     """Per-decode bookkeeping of the recursion, the same for both schemes.
 
     Paths live on axis 1 of every array.  Whenever the list branches or
-    is pruned, the parent-index map is appended to ``origins`` so that
-    recursion frames holding older arrays can re-gather them lazily.
+    is pruned, the parent map is appended to ``origins`` so that
+    recursion frames holding older arrays can re-gather them lazily.  A parent
+    map indexes the flattened (frames * paths) axes, so maps compose by ``np.take``.
     Each unfrozen decision is appended to ``trace`` as (bit index, bits,
     parent map or None), the Tal-Vardy path memory that _finalize walks back.
     """
@@ -236,10 +244,7 @@ class _PathState:
         """Composed parent map from the current paths back to ``epoch``."""
         if len(self.origins) == epoch:
             return None
-        idx = self.origins[epoch]
-        for later in self.origins[epoch + 1:]:
-            idx = _gather_paths(idx, later)
-        return idx
+        return functools.reduce(np.take, self.origins[epoch + 1:], self.origins[epoch])
 
     def decide_bit(self, s_b: np.ndarray, global_idx: int):
         """Decide bit ``global_idx`` from its per-path LLRs.
@@ -267,24 +272,20 @@ class _PathState:
         pm0 = self.pm + np.maximum(-s_b, 0.0)
         pm1 = self.pm + np.maximum(s_b, 0.0)
         pm2 = np.stack([pm0, pm1], axis=2).reshape(self.F, 2 * a)
-        if 2 * a <= self.L:
-            keep = np.broadcast_to(np.arange(2 * a), (self.F, 2 * a)).copy()
-        else:
-            order = np.argsort(pm2, axis=1, kind="stable")[:, :self.L]
-            keep = np.sort(order, axis=1)
+        keep = np.sort(np.argsort(pm2, axis=1, kind="stable")[:, :self.L], axis=1)
+        keep += 2 * a * np.arange(self.F)[:, None]
+        # keep indexes the flattened (frames * 2a) children, so keep >> 1 is the flat parent map.
         parent = keep >> 1
         bits = keep & 1
-        self.pm = np.take_along_axis(pm2, keep, axis=1)
+        self.pm = np.take(pm2, keep)
         self.trace.append((global_idx, bits, parent))
         self.origins.append(parent)
         return bits, parent
 
 
 def _gather_paths(arr: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Select rows of the path axis (axis 1) by parent index, as one flat take."""
-    f, a = arr.shape[:2]
-    flat = origin + (a * np.arange(f))[:, None]
-    return np.take(arr.reshape(f * a, *arr.shape[2:]), flat, axis=0)
+    """Select paths of (frames, paths, ...) ``arr`` by the flat parent map ``origin``."""
+    return np.take(arr.reshape((-1,) + arr.shape[2:]), origin, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +330,16 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int
     return np.concatenate([x_left ^ x_right, x_right], axis=2)
 
 
-def _symbol_leaf(block_map: np.ndarray, v_idx: tuple, state: _PathState,
-                 s: np.ndarray, i: int) -> np.ndarray:
+def _symbol_leaf(block_map: np.ndarray, state: _PathState, s: np.ndarray,
+                 i: int) -> np.ndarray:
     """Peel the t bits of Stage-2 symbol i; returns the re-packed symbol."""
-    t, q = len(v_idx), s.shape[-1]
+    t = s.shape[-1].bit_length() - 1
+    tree = _stage1_min_tree(s, block_map)
     prefix = np.zeros(s.shape[:2], dtype=np.int64)
     for j in range(t):
-        f, a = s.shape[0], s.shape[1]
-        idx = v_idx[j][prefix]                                # (F, A, 2, n_free)
-        flat = s.reshape(f * a, q)
-        cand = flat[np.arange(f * a)[:, None], idx.reshape(f * a, -1)]
-        mins = cand.reshape(f, a, 2, -1).min(axis=-1)
-        s_b = mins[..., 1] - mins[..., 0]
-        bits, origin = state.decide_bit(s_b, i * t + j)
+        bits, origin = state.decide_bit(_stage1_bit(tree, prefix, j), i * t + j)
         if origin is not None:
-            s = _gather_paths(s, origin)
-            prefix = _gather_paths(prefix, origin)
+            tree, prefix = _gather_paths(tree, origin), _gather_paths(prefix, origin)
         prefix = prefix | (bits << j)
     return block_map[prefix]
 
@@ -373,9 +368,7 @@ def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
     """
     root = np.asarray(channel_input, dtype=np.float64)
     if spec.scheme == "hybrid":
-        variant = spec.encoder_variant
-        leaf = functools.partial(_symbol_leaf, stage1_block_map(spec.t, variant),
-                                 stage1_leaf_table(spec.t, variant))
+        leaf = functools.partial(_symbol_leaf, stage1_block_map(spec.t, spec.encoder_variant))
         state.leaf_frozen = state.frozen_mask.reshape(-1, spec.t).all(axis=1)
         _span(state, root[:, None], stage2_plus, stage2_minus, leaf, stage2_rate0_penalty, 0)
     else:
@@ -393,10 +386,10 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
     pm = state.pm
     # Walk the decision trace back once, from the final paths to bit 0.
     u_all = np.zeros((f, state.paths, state.n), dtype=np.int8)
-    idx = np.broadcast_to(np.arange(state.paths), pm.shape)
+    idx = np.arange(pm.size).reshape(pm.shape)
     for global_idx, bits, parent in reversed(state.trace):
-        u_all[:, :, global_idx] = _gather_paths(bits, idx)
-        idx = idx if parent is None else _gather_paths(parent, idx)
+        u_all[:, :, global_idx] = np.take(bits, idx)
+        idx = idx if parent is None else np.take(parent, idx)
     order = np.argsort(pm, axis=1, kind="stable")
     if spec.p > 0:
         pass_mask = crc_check(u_all[:, :, spec.unfrozen_indices()], spec.crc_poly, spec.p)

@@ -284,8 +284,7 @@ def encode_u_vector(u: np.ndarray, spec: "CodeSpec", tables: FieldTables | None,
 
     Returns the (..., N/t) symbol streams; hybrid coefficients are
     (..., r-1, n/t).  This is the encoder of the frame pipeline
-    (:func:`hybridpolar.channel.transmit_frames`), and weight
-    enumeration re-encodes decoded u vectors with it.
+    (:func:`hybridpolar.channel.transmit_frames`).
     """
     if spec.scheme == "polar_repetition":
         return np.tile(polar_transform(np.asarray(u, dtype=np.int8)), spec.r)

@@ -7,14 +7,16 @@ and the min-sum updates by direct enumeration of the defining formulas
 (plus the vector-major check update that the decoder runs symbol-major).
 The layered Stage-1 update and the scalar path-metric step are the
 textbook per-layer and per-bit rules that the decoder replaces with one
-table lookup (Stage 1) and one batched branch (the metric).  The
-frozen-span penalty is the bit-by-bit SC sum that the decoder replaces
-with a closed form when it skips an all-frozen subtree.  The
+min tree per leaf (Stage 1) and one batched branch (the metric); the
+per-bit gather over every completion is the leaf without a min tree.
+The frozen-span penalty is the bit-by-bit SC sum that the decoder
+replaces with a closed form when it skips an all-frozen subtree.  The
 symbol-domain repetition combine expands every repeat to a 2^t LLR
 vector and adds the de-permuted vectors; the decoder replaces it with
 per-coefficient sums of bit LLRs and one table product.  The exhaustive
-weight enumerator is the one-codeword-at-a-time loop that the analysis
-module replaces with batched re-encoding.
+weight enumerator is the one-codeword-at-a-time loop over full
+re-encodings that the analysis module replaces with a batched outer
+encode and a per-symbol weight table.
 """
 
 import math
@@ -158,6 +160,35 @@ def stage1_bit_llr_enum(s, prefix, i: int, t: int, variant: str) -> float:
             w = pfx | (beta << i) | (c << (i + 1))
             best[beta] = min(best[beta], s[block_map[w]])
     return best[1] - best[0]
+
+
+def stage1_leaf_table(t: int, variant: str) -> list:
+    """Per-bit symbol indices that a gather-based Stage-1 extraction minimises over.
+
+    Entry j is a (2^j, 2, 2^(t-1-j)) array whose element [prefix, beta, c]
+    is the symbol produced by the group whose first j bits are ``prefix``,
+    whose bit j is beta and whose remaining bits are the free completion c.
+    """
+    block_map = np.asarray(stage1_map_matrix(t, variant))
+    table = []
+    for j in range(t):
+        pfx, beta, free = np.ogrid[:1 << j, :2, :1 << (t - 1 - j)]
+        table.append(block_map[pfx | (beta << j) | (free << (j + 1))])
+    return table
+
+
+def stage1_bit_llr_gather(s, prefix, j: int, t: int, variant: str) -> np.ndarray:
+    """Bit-j LLRs of (..., q) vectors given (...) packed prefixes, by one gather per bit.
+
+    Every completion of (prefix, beta) is gathered from its vector and
+    minimised: the Stage-1 leaf without a min tree.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    prefix = np.asarray(prefix, dtype=np.int64)
+    flat = s.reshape(-1, s.shape[-1])
+    idx = stage1_leaf_table(t, variant)[j][prefix.reshape(-1)]        # (M, 2, n_free)
+    mins = flat[np.arange(len(flat))[:, None, None], idx].min(axis=-1)
+    return (mins[:, 1] - mins[:, 0]).reshape(prefix.shape)
 
 
 def stage1_recursive_update(s: np.ndarray, direction: str,

@@ -130,7 +130,7 @@ def test_enumeration_baseline_scheme():
 @pytest.mark.parametrize("scheme,t", [("hybrid", 1), ("hybrid", 2), ("hybrid", 4),
                                       ("polar_repetition", 1)])
 @pytest.mark.parametrize("r", [1, 3])
-@pytest.mark.parametrize("rows", [1, _WEIGHT_CHUNK, _WEIGHT_CHUNK + 1])
+@pytest.mark.parametrize("rows", [0, 1, _WEIGHT_CHUNK, _WEIGHT_CHUNK + 1])
 def test_codeword_weights_match_per_row_oracle(scheme, t, r, rows):
     spec = CodeSpec(scheme=scheme, n=32, k=16, t=t, r=r, p=0, crc_poly=0,
                     frozen_set=default_frozen_set(32, 16, 0), design_snr=2.0)
@@ -143,6 +143,18 @@ def test_codeword_weights_match_per_row_oracle(scheme, t, r, rows):
     for rho in choices:
         expected = [oracles.codeword_weight(row, spec, tables, rho) for row in u]
         assert _codeword_weights(u, spec, tables, rho).tolist() == expected
+
+
+def test_codeword_weights_reject_bad_coefficients():
+    spec = CodeSpec(scheme="hybrid", n=16, k=8, t=2, r=3, p=0, crc_poly=0,
+                    frozen_set=default_frozen_set(16, 8, 0), design_snr=2.0)
+    u = np.ones((2, 16), dtype=np.int8)
+    rho = pinned_coefficients(spec, 1)
+    zero = rho.copy()
+    zero[1, 3] = 0
+    for bad in (None, zero, rho[:1], rho[:, :4], rho + spec.field_tables().q):
+        with pytest.raises(ValueError, match="nonzero field elements"):
+            _codeword_weights(u, spec, spec.field_tables(), bad)
 
 
 @pytest.mark.parametrize("scheme,t,r", [("hybrid", 2, 4), ("hybrid", 4, 3),

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridpolar import cli
 from hybridpolar.analysis import brute_force_weights, pinned_coefficients
@@ -378,3 +383,70 @@ def test_list_size_is_bounded_by_the_path_budget(tmp_path, command, list_size):
         return
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: list size") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+# --- any config: it runs, or it fails with one error line ------------------------------
+
+# Values the property below swaps into an otherwise valid config.
+EDGE_VALUES = {
+    "scheme": ["turbo", ""], "n": ["1", "3", "0", "-8", "x"], "k": ["0", "-1", "64", "70"],
+    "t": ["3", "0", "8"], "r": ["0", "-2", "9"], "list_size": ["0", "-1", "3", str(2 ** 40)],
+    "crc_poly": ["0", "0x1", "z", "-0x43", "0x10000"], "crc_len": ["-1", "7", "64"],
+    "channel": ["rayleigh", ""], "fading_blocks": ["0", "3", "1000", "-1"],
+    "design_snr": ["nan", "inf", "-inf", "1e300", "abc", "1500"],
+    "ebn0_list": ["", "nan", "inf", "1e300", "1,,2", "a", "1500"],
+    "seed": ["-1", str(2 ** 70)], "max_frames": ["0", "-1"], "target_errors": ["-1", "1000"],
+    "encoder_variant": ["other"], "pin_coefficients": ["maybe"],
+}
+
+
+@st.composite
+def cli_configs(draw):
+    """A valid config with n <= 64, then up to two edge values and now and then a dropped key.
+
+    max_frames is never dropped: its default is a million frames.
+    """
+    scheme = draw(st.sampled_from(["hybrid", "polar_repetition"]))
+    t = draw(st.sampled_from([1, 2, 4])) if scheme == "hybrid" else 1
+    n = t << draw(st.integers(0, (64 // t).bit_length() - 1))
+    p, poly = draw(st.sampled_from([(0, 0x43), (3, 0xB), (6, 0x43)]).filter(lambda c: c[0] < n))
+    channel = draw(st.sampled_from(["awgn", "rayleigh_block"]))
+    fields = {
+        "scheme": scheme, "n": n, "k": draw(st.integers(1, n - p)), "t": t,
+        "r": draw(st.integers(1, 4)), "list_size": draw(st.sampled_from([1, 2, 4, 8])),
+        "crc_poly": hex(poly), "crc_len": p, "channel": channel,
+        "fading_blocks": draw(st.sampled_from([1, 2, 4])) if channel != "awgn" else 0,
+        "design_snr": draw(st.floats(-10, 30)),
+        "ebn0_list": ",".join(map(str, draw(st.lists(st.floats(-10, 30), min_size=1,
+                                                     max_size=2)))),
+        "seed": draw(st.integers(0, 1000)), "max_frames": draw(st.integers(1, 5)),
+        "target_errors": draw(st.integers(0, 3)),
+        "encoder_variant": draw(st.sampled_from(["flat", "recursive"])),
+        "pin_coefficients": draw(st.sampled_from(["true", "false"])),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(EDGE_VALUES)), max_size=2)):
+        fields[key] = draw(st.sampled_from(EDGE_VALUES[key]))
+    if draw(st.integers(0, 9)) == 0:
+        del fields[draw(st.sampled_from(sorted(set(fields) - {"max_frames"})))]
+    return "".join(f"{key} = {value}\n" for key, value in fields.items())
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=cli_configs())
+def test_any_config_runs_or_prints_one_error_line(text):
+    # construct --trials 4, then simulate on the spec it wrote: each exits 0, or
+    # exits 1 after exactly one "error:" line.  An escaping exception fails the test.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, spec = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "fuzz.spec")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        for argv in (["construct", cfg, "-o", spec, "--trials", "4"],
+                     ["simulate", cfg, "--spec", spec, "-o", os.path.join(tmp, "out.csv")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            if code == 0:
+                continue
+            assert code == 1 and err.getvalue().startswith("error:"), (argv[0], code, err.getvalue())
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            break

@@ -333,6 +333,39 @@ def test_stage1_rejects_bad_prefix():
         stage1_bit_llr(np.zeros(4), [], 2, 2)
 
 
+@pytest.mark.parametrize("s,prefix,t", [(np.arange(16.0), [-1], 4), (np.arange(16.0), [2], 4),
+                                        (np.zeros(8), [0], 4), (np.zeros(16), [1], 2),
+                                        (np.zeros((2, 4)), [0], 2)])
+def test_stage1_rejects_bad_bits_and_lengths(s, prefix, t):
+    # A prefix bit outside {0, 1} or a vector that is not 2^t long is refused,
+    # not wrapped into another symbol's entry or left to an IndexError.
+    with pytest.raises(ValueError):
+        stage1_bit_llr(s, prefix, 1, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([1, 2, 4]),
+       variant=st.sampled_from(["flat", "recursive"]))
+def test_stage1_min_tree_matches_gather_and_enumeration(seed, t, variant):
+    # Each bit LLR is a difference of two exact minima over the same sets as
+    # the per-bit gather and the enumeration, so all three agree bit for bit.
+    rng = np.random.default_rng(seed)
+    q = 1 << t
+    s = rng.normal(0.5, 3.0, size=(3, 5, q))
+    s[0, 0] = rng.integers(-2, 3, size=q)          # ties between completions
+    tree = decoder._stage1_min_tree(s, enc.stage1_block_map(t, variant))
+    assert tree.shape == (3, 5, 2 * q - 2)
+    for j in range(t):
+        for pfx in range(1 << j):
+            prefix = np.full((3, 5), pfx)
+            got = decoder._stage1_bit(tree, prefix, j)
+            assert np.array_equal(got, oracles.stage1_bit_llr_gather(s, prefix, j, t, variant))
+            bits = [pfx >> b & 1 for b in range(j)]
+            for f, a in np.ndindex(3, 5):
+                ref = oracles.stage1_bit_llr_enum(s[f, a], bits, j, t, variant)
+                assert got[f, a] == ref == stage1_bit_llr(s[f, a], bits, j, t, variant)
+
+
 def test_stage1_recursive_tprime1_reduces_to_binary_minsum():
     rng = np.random.default_rng(5)
     for _ in range(1000):
@@ -443,6 +476,7 @@ def test_pruning_keeps_l_smallest_with_stable_ties():
 @pytest.mark.parametrize("shape", [(3, 5), (3, 5, 7), (3, 5, 4, 6)])
 @pytest.mark.parametrize("layout", ["contiguous", "strided", "swapped"])
 def test_gather_paths_matches_take_along_axis(shape, layout):
+    # A flat parent map is the per-frame map offset by frame * paths.
     rng = np.random.default_rng(20)
     f, a = shape[:2]
     views = {
@@ -454,12 +488,37 @@ def test_gather_paths_matches_take_along_axis(shape, layout):
     assert arr.shape == shape
     for n_out in (1, 4, 9):
         origin = rng.integers(0, a, size=(f, n_out))
+        flat = origin + a * np.arange(f)[:, None]
         idx = origin.reshape(origin.shape + (1,) * (arr.ndim - 2))
         expected = np.take_along_axis(arr, idx, axis=1)
-        assert np.array_equal(_gather_paths(arr, origin), expected)
+        assert np.array_equal(_gather_paths(arr, flat), expected)
         ints = (arr > 0).astype(np.int8)
-        assert np.array_equal(_gather_paths(ints, origin),
+        assert np.array_equal(_gather_paths(ints, flat),
                               np.take_along_axis(ints, idx, axis=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), list_size=st.sampled_from([2, 3, 4]),
+       epoch=st.integers(0, 3))
+def test_origin_since_matches_per_frame_composition(seed, list_size, epoch):
+    # Five branchings of three frames: the list is pruned once it passes L, so
+    # origin_since composes maps across prunes.  Composing the per-frame maps
+    # one step at a time with take_along_axis gives the same paths.
+    rng = np.random.default_rng(seed)
+    state = _PathState(3, 5, list_size, np.zeros(5, dtype=bool), "list")
+    rows = np.arange(3)[:, None]
+    per_frame, widths = [], []
+    for i in range(5):
+        widths.append(state.paths)
+        state.decide_bit(rng.normal(0.0, 2.0, size=(3, widths[-1])), i)
+        per_frame.append(state.origins[-1] - widths[-1] * rows)
+        assert ((per_frame[-1] >= 0) & (per_frame[-1] < widths[-1])).all()
+    assert state.paths == list_size
+    expected = per_frame[epoch]
+    for later in per_frame[epoch + 1:]:
+        expected = np.take_along_axis(expected, later, axis=1)
+    assert np.array_equal(state.origin_since(epoch), expected + widths[epoch] * rows)
+    assert state.origin_since(5) is None
 
 
 # --- Rate-0 (all-frozen) spans ------------------------------------------------------
