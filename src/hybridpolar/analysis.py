@@ -80,8 +80,6 @@ class WeightHistogram:
     """Codeword-weight multiplicities (all-zero codeword excluded)."""
 
     counts: dict = field(default_factory=dict)
-    list_size: int = 0
-    snr_db: float = 0.0
 
     def add(self, weight: int, count: int = 1) -> None:
         if weight <= 0:
@@ -154,7 +152,7 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
     out = decode(spec, channel_input, list_size, crc_on=False, return_paths=True)
 
     weights = _codeword_weights(out.all_u[0], spec, tables, coefficients)
-    hist = WeightHistogram(list_size=list_size, snr_db=high_snr_db)
+    hist = WeightHistogram()
     _add_weights(hist, weights[weights > 0])
     return hist
 

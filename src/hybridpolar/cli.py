@@ -23,6 +23,7 @@ independent of how frames are batched internally.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, fields as dataclass_fields
@@ -118,14 +119,16 @@ def parse_config(path) -> SimConfig:
     merged = dict(_CONFIG_DEFAULTS)
     merged.update(raw)
     ebn0 = tuple(float(tok) for tok in merged["ebn0_list"].split(",") if tok.strip())
+    for value in ebn0:
+        if not math.isfinite(value):
+            raise ValueError(f"config {path}: ebn0_list entry {value} is not a finite Eb/N0")
     pin = merged["pin_coefficients"].lower()
     if pin not in ("true", "false", "0", "1"):
         raise ValueError(f"pin_coefficients must be boolean, got {pin!r}")
-    for key, low in (("max_frames", 1), ("target_errors", 0), ("list_size", 1)):
+    for key, low in (("max_frames", 1), ("target_errors", 0), ("list_size", 1), ("seed", 0)):
         if int(merged[key], 0) < low:
             raise ValueError(f"config {path}: {key} must be >= {low}, got {merged[key]}")
-    _channel.check_channel_kind(merged["channel"], int(merged["fading_blocks"], 0))
-    return SimConfig(
+    cfg = SimConfig(
         scheme=merged["scheme"],
         n=int(merged["n"], 0),
         k=int(merged["k"], 0),
@@ -144,6 +147,11 @@ def parse_config(path) -> SimConfig:
         encoder_variant=merged["encoder_variant"],
         pin_coefficients=pin in ("true", "1"),
     )
+    _channel.check_channel_kind(cfg.channel, cfg.fading_blocks)
+    if cfg.channel == "rayleigh_block" and cfg.n * cfg.r % cfg.fading_blocks:
+        raise ValueError(f"config {path}: fading_blocks = {cfg.fading_blocks} "
+                         f"does not divide N = {cfg.n * cfg.r}")
+    return cfg
 
 
 def spec_from_config(cfg: SimConfig) -> CodeSpec:
@@ -173,14 +181,13 @@ def check_config_matches_spec(cfg: SimConfig, spec: CodeSpec) -> None:
 # ---------------------------------------------------------------------------
 
 def _chunk_size(spec: CodeSpec, list_size: int) -> int:
-    per_frame = max(1, 2 * list_size) * spec.n * (1 << spec.t) // max(1, spec.t)
-    return int(np.clip(4_000_000 // max(per_frame, 1), 8, 2048))
+    # A frame's recursion holds its root span and every half below it: under twice the root.
+    return int(np.clip(4_000_000 // (2 * _decoder.frame_path_entries(spec, list_size)), 8, 2048))
 
 
 def simulate_point(spec: CodeSpec, ebn0_db: float, list_size: int, seed: int,
                    max_frames: int, target_errors: int, channel_kind: str = "awgn",
-                   fading_blocks: int = 0, pin_coefficients: bool = False,
-                   decoder_mode: str = "list") -> SimRecord:
+                   fading_blocks: int = 0, pin_coefficients: bool = False) -> SimRecord:
     """Measure FER/BER at one operating point with the exact stop rule.
 
     Frames are processed in index order; the run stops at max_frames or
@@ -205,7 +212,7 @@ def simulate_point(spec: CodeSpec, ebn0_db: float, list_size: int, seed: int,
         info = np.stack([rng.integers(0, 2, size=spec.k, dtype=np.int8) for rng in rngs])
         channel_input = _channel.transmit_frames(spec, cfg, _encoder.message_u(info, spec),
                                                  rngs, pinned)
-        out = decode(spec, channel_input, list_size, crc_on=spec.p > 0, mode=decoder_mode)
+        out = decode(spec, channel_input, list_size, crc_on=spec.p > 0)
         decoded_info = out.u_hat[:, spec.unfrozen_indices()[:spec.k]]
         bit_err = (decoded_info != info).sum(axis=1)
         frame_err = bit_err > 0
@@ -232,19 +239,6 @@ def simulate_point(spec: CodeSpec, ebn0_db: float, list_size: int, seed: int,
     )
 
 
-def run_sweep(spec: CodeSpec, cfg: SimConfig, decoder_mode: str = "list") -> list:
-    records = []
-    for ebn0 in cfg.ebn0_list:
-        records.append(simulate_point(
-            spec, ebn0, cfg.list_size, cfg.seed, cfg.max_frames,
-            cfg.target_errors, channel_kind=cfg.channel,
-            fading_blocks=cfg.fading_blocks,
-            pin_coefficients=cfg.pin_coefficients,
-            decoder_mode=decoder_mode,
-        ))
-    return records
-
-
 def records_to_csv(records) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
 
@@ -256,6 +250,10 @@ def records_to_csv(records) -> str:
 def cmd_construct(args) -> int:
     cfg = parse_config(args.config)
     params = spec_from_config(cfg)
+    # Refuse what simulate would stop on (list size, Eb/N0) before any trial runs.
+    _decoder.frame_path_entries(params, cfg.list_size)
+    for ebn0 in cfg.ebn0_list if params.k else ():   # k = 0 has no rate to place Eb/N0 at
+        _channel.ChannelConfig(cfg.channel, ebn0, params.rate, cfg.fading_blocks)
     spec = _codespec.construct_code(params, trials=args.trials, seed=cfg.seed)
     save_spec(spec, args.output)
     print(f"wrote {args.output} (|F| = {len(spec.frozen_set)})")
@@ -268,9 +266,11 @@ def cmd_simulate(args) -> int:
     check_config_matches_spec(cfg, spec)
     if not cfg.ebn0_list:
         raise ValueError("config has an empty ebn0_list")
-    mode = "sc" if args.decoder == "sc" else "list"
-    records = run_sweep(spec, cfg, decoder_mode=mode)
-    csv_text = records_to_csv(records)
+    csv_text = records_to_csv([
+        simulate_point(spec, ebn0, cfg.list_size, cfg.seed, cfg.max_frames, cfg.target_errors,
+                       channel_kind=cfg.channel, fading_blocks=cfg.fading_blocks,
+                       pin_coefficients=cfg.pin_coefficients)
+        for ebn0 in cfg.ebn0_list])
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(csv_text)
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--spec", required=True, help="constructed spec file")
     p.add_argument("-o", "--output", help="CSV output path (default stdout)")
-    p.add_argument("--decoder", choices=("scl", "sc"), default="scl")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("complexity", help="operation-count tables")

@@ -76,7 +76,7 @@ class CodeSpec:
             fail("r", "needs at least one repetition")
         if self.N != self.n * self.r:
             fail("N", f"{self.N} != n*r = {self.n * self.r}")
-        for name in ("k", "p"):
+        for name in ("k", "p", "crc_poly"):
             if getattr(self, name) < 0:
                 fail(name, f"{getattr(self, name)} is negative")
         if self.k + self.p > self.n:

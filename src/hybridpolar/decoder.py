@@ -1,4 +1,4 @@
-"""SC and CRC-aided SCL decoding for both repetition schemes.
+"""CRC-aided SCL decoding for both repetition schemes; ``list_size = 1`` is SC.
 
 Decoding a hybrid frame has four parts:
 
@@ -219,15 +219,15 @@ class _PathState:
     recursion frames holding older arrays can re-gather them lazily.  A parent
     map indexes the flattened (frames * paths) axes, so maps compose by ``np.take``.
     Each unfrozen decision is appended to ``trace`` as (bit index, bits,
-    parent map or None), the Tal-Vardy path memory that _finalize walks back.
+    parent map), the Tal-Vardy path memory that _finalize walks back.
+    A set ``genie_u`` makes a genie pass: decisions corrected to the truth, no metric.
     """
 
     def __init__(self, n_frames: int, n: int, list_size: int, frozen_mask: np.ndarray,
-                 mode: str, genie_u: np.ndarray | None = None):
+                 genie_u: np.ndarray | None = None):
         self.F = n_frames
         self.n = n
         self.L = list_size
-        self.mode = mode
         self.frozen_mask = frozen_mask
         self.leaf_frozen = frozen_mask  # per recursion leaf; _decode sets it per scheme
         self.pm = np.zeros((n_frames, 1))
@@ -253,21 +253,14 @@ class _PathState:
         path set and the parent map if the path set changed.
         """
         if self.frozen_mask[global_idx]:
-            if self.mode == "list":
-                self.pm += np.maximum(-s_b, 0.0)
+            self.pm += np.maximum(-s_b, 0.0)
             return np.zeros_like(s_b, dtype=np.int64), None
-        if self.mode == "genie":
+        if self.genie_u is not None:
             truth = self.genie_u[:, global_idx].astype(np.int64)
             wrong = ((s_b[:, 0] < 0).astype(np.int64) != truth) & (self.first_error < 0)
             self.first_error[wrong] = global_idx
             return truth[:, None], None
-        if self.mode == "sc":
-            # Hard sign rule; the decision never contradicts its own LLR,
-            # so the metric stays at zero.
-            bits = (s_b < 0).astype(np.int64)
-            self.trace.append((global_idx, bits, None))
-            return bits, None
-        # List mode: branch every path two ways, keep the L smallest metrics.
+        # Branch every path two ways, keep the L smallest metrics.
         a = self.paths
         pm0 = self.pm + np.maximum(-s_b, 0.0)
         pm1 = self.pm + np.maximum(s_b, 0.0)
@@ -298,11 +291,12 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int
     ``plus``/``minus`` are the kernel's check and variable updates, ``leaf(state, s, i)``
     decides leaf i and ``rate0(s)`` prices an all-frozen span; returns the re-encoding.
     """
-    erred = state.mode == "genie" and (state.first_error >= 0).all()
+    genie = state.genie_u is not None
+    erred = genie and (state.first_error >= 0).all()
     if erred or state.leaf_frozen[first:first + s.shape[2]].all():
-        # Rate 0: every decision is 0; SC metrics ignore frozen bits.  Once every
-        # genie trial has erred, no later decision can move first_error.
-        if state.mode == "list":
+        # Rate 0: every decision is 0.  Once every genie trial has erred, no
+        # later decision can move first_error; a genie pass keeps no metric.
+        if not genie:
             state.pm += rate0(s)
         return np.zeros(s.shape[:3], dtype=np.int8)
     half = s.shape[2] // 2
@@ -320,7 +314,7 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int
         if origin is not None:
             s = _gather_paths(s, origin)
     s_right = minus(s[:, :, :half], s[:, :, half:], x_left)
-    if left_frozen and state.mode == "list":   # the span's rate-0 penalty less the right child's
+    if left_frozen and not genie:   # the span's rate-0 penalty less the right child's
         state.pm += rate0(s) - rate0(s_right)
     epoch = len(state.origins)
     x_right = _span(state, s_right, plus, minus, leaf, rate0, first + half)
@@ -389,7 +383,7 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
     idx = np.arange(pm.size).reshape(pm.shape)
     for global_idx, bits, parent in reversed(state.trace):
         u_all[:, :, global_idx] = np.take(bits, idx)
-        idx = idx if parent is None else np.take(parent, idx)
+        idx = np.take(parent, idx)
     order = np.argsort(pm, axis=1, kind="stable")
     if spec.p > 0:
         pass_mask = crc_check(u_all[:, :, spec.unfrozen_indices()], spec.crc_poly, spec.p)
@@ -416,29 +410,36 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
 MAX_PATH_ENTRIES = 1 << 24   # most LLRs in one frame's widest path array, the full-width root span
 
 
-def _list_decode(spec: "CodeSpec", channel_input: np.ndarray, list_size: int,
-                 crc_on: bool, return_paths: bool, mode: str) -> BatchDecodeResult:
+def frame_path_entries(spec: "CodeSpec", list_size: int) -> int:
+    """LLR entries of a frame's root span over its min(L, 2^(k+p)) live paths.
+
+    Raises ValueError past :data:`MAX_PATH_ENTRIES`.
+    """
     if list_size < 1:
         raise ValueError("list size must be >= 1")
-    if mode not in ("list", "sc"):
-        raise ValueError(f"decoder mode must be 'list' or 'sc', got {mode!r}")
     per_path = (spec.n // spec.t) << spec.t if spec.scheme == "hybrid" else spec.n
-    if mode == "list" and min(list_size, 2 ** (spec.k + spec.p)) * per_path > MAX_PATH_ENTRIES:
+    entries = min(list_size, 2 ** (spec.k + spec.p)) * per_path
+    if entries > MAX_PATH_ENTRIES:
         raise ValueError(f"list size {list_size} needs more than {MAX_PATH_ENTRIES} "
                          f"path LLR entries per frame ({per_path} per path)")
-    state = _PathState(channel_input.shape[0], spec.n, list_size,
-                       spec.frozen_mask(), mode)
+    return entries
+
+
+def _list_decode(spec: "CodeSpec", channel_input: np.ndarray, list_size: int,
+                 crc_on: bool, return_paths: bool) -> BatchDecodeResult:
+    frame_path_entries(spec, list_size)
+    state = _PathState(channel_input.shape[0], spec.n, list_size, spec.frozen_mask())
     _decode(spec, state, channel_input)
     return _finalize(spec, state, crc_on, return_paths)
 
 
 def scl_decode_batch(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,
-                     crc_on: bool = True, return_paths: bool = False,
-                     mode: str = "list") -> BatchDecodeResult:
+                     crc_on: bool = True, return_paths: bool = False) -> BatchDecodeResult:
     """Decode a batch of hybrid frames from combined symbol LLR vectors.
 
-    ``s_inner`` has shape (frames, n/t, 2^t).  ``mode`` selects the
-    list decoder ("list") or plain successive cancellation ("sc").
+    ``s_inner`` has shape (frames, n/t, 2^t).  ``list_size = 1`` is plain
+    successive cancellation: the one path keeps the cheaper child of each bit,
+    which is the sign decision (0 on a tie).
     """
     s_inner = np.asarray(s_inner, dtype=np.float64)
     n2 = spec.n // spec.t
@@ -446,7 +447,7 @@ def scl_decode_batch(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,
         raise ValueError(
             f"s_inner must have shape (frames, {n2}, {1 << spec.t}), got {s_inner.shape}"
         )
-    return _list_decode(spec, s_inner, list_size, crc_on, return_paths, mode)
+    return _list_decode(spec, s_inner, list_size, crc_on, return_paths)
 
 
 def combine_baseline(bit_llrs: np.ndarray, r: int) -> np.ndarray:
@@ -459,13 +460,12 @@ def combine_baseline(bit_llrs: np.ndarray, r: int) -> np.ndarray:
 
 
 def baseline_decode_batch(spec: "CodeSpec", bit_llrs: np.ndarray, list_size: int,
-                          crc_on: bool = True, return_paths: bool = False,
-                          mode: str = "list") -> BatchDecodeResult:
+                          crc_on: bool = True, return_paths: bool = False) -> BatchDecodeResult:
     """Decode baseline frames from the N per-bit channel LLRs."""
     bit_llrs = np.asarray(bit_llrs, dtype=np.float64)
     if bit_llrs.ndim != 2 or bit_llrs.shape[1] != spec.N:
         raise ValueError(f"bit_llrs must have shape (frames, {spec.N})")
-    return _list_decode(spec, bit_llrs, list_size, crc_on, return_paths, mode)
+    return _list_decode(spec, bit_llrs, list_size, crc_on, return_paths)
 
 
 def genie_first_errors(spec: "CodeSpec", channel_input, true_u: np.ndarray) -> np.ndarray:
@@ -477,7 +477,6 @@ def genie_first_errors(spec: "CodeSpec", channel_input, true_u: np.ndarray) -> n
     All n positions are treated as unfrozen while ranking.
     """
     true_u = np.asarray(true_u, dtype=np.int8)
-    state = _PathState(true_u.shape[0], spec.n, 1,
-                       np.zeros(spec.n, dtype=bool), "genie", genie_u=true_u)
+    state = _PathState(true_u.shape[0], spec.n, 1, np.zeros(spec.n, dtype=bool), genie_u=true_u)
     _decode(spec, state, channel_input)
     return state.first_error

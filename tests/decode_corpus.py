@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+import oracles
 from hybridpolar import channel as ch
 from hybridpolar import encoder as enc
 from hybridpolar.codespec import CodeSpec, default_frozen_set
-from hybridpolar.decoder import (baseline_decode_batch, combine_repetitions,
-                                 genie_first_errors, scl_decode_batch)
+from hybridpolar.decoder import baseline_decode_batch, genie_first_errors, scl_decode_batch
 
 CORPUS_PATH = Path(__file__).resolve().parent / "data" / "decode_corpus.npz"
 
@@ -47,9 +47,14 @@ FAMILIES += [(f"{name}-scattered", scheme, t, v, SCATTERED_FROZEN)
 
 # (mode, list size, crc_on) for every family
 MODES = [("list", L, crc) for L in (1, 4, 16) for crc in (True, False)]
-MODES += [("sc", 1, False), ("genie", 1, False)]
+MODES += [("genie", 1, False)]
 
 CASES = [(fam, mode, L, crc) for fam, *_ in FAMILIES for mode, L, crc in MODES]
+
+# Each family's "sc" case was recorded by a plain successive-cancellation rule that
+# reported every metric as 0.  That rule is the list decoder at L = 1, which must
+# reproduce the case's decisions; its metrics are not compared.
+SC_CASES = [(fam, "sc", 1, False) for fam, *_ in FAMILIES]
 
 # Path metrics may differ from the recorded ones by float rounding only:
 # rate-0 subtrees add their penalties as one closed-form sum.
@@ -70,11 +75,16 @@ def family_spec(scheme: str, t: int, variant: str, frozen=None) -> CodeSpec:
 
 
 def _received(spec: CodeSpec, tables, symbols, coefficients, rng) -> np.ndarray:
-    """Decoder input for one transmitted symbol stream."""
+    """Decoder input for one transmitted symbol stream.
+
+    Hybrid frames are combined in the symbol domain, as when the corpus was
+    recorded: ``combine_repetitions`` rounds differently (by about 1e-15).
+    """
     cfg = ch.ChannelConfig("awgn", EBN0_DB, spec.rate)
     if spec.scheme == "hybrid":
         y, h = ch.transmit(ch.bpsk_modulate(symbols, spec.t), cfg, rng)
-        return combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), coefficients, tables)
+        return oracles.permute_and_add(oracles.symbol_llrs(y, h, cfg.sigma2, spec.t),
+                                       coefficients, tables)
     y, h = ch.transmit(1.0 - 2.0 * symbols, cfg, rng)
     return ch.initial_llrs(y, h, cfg.sigma2)
 
@@ -82,7 +92,7 @@ def _received(spec: CodeSpec, tables, symbols, coefficients, rng) -> np.ndarray:
 def family_inputs(index: int) -> dict:
     """Seeded inputs of one family: noisy codewords and genie frames.
 
-    ``decode`` holds CRC-coded frames for the list and SC cases;
+    ``decode`` holds CRC-coded frames for the list cases;
     ``genie`` holds frames of fully random u vectors with ``genie_u``,
     as the Monte-Carlo construction draws them.
     """
@@ -118,8 +128,7 @@ def run_case(family: str, mode: str, list_size: int, crc_on: bool,
         return {"first_error": genie_first_errors(spec, inputs["genie"],
                                                   inputs["genie_u"])}
     decode = scl_decode_batch if scheme == "hybrid" else baseline_decode_batch
-    out = decode(spec, inputs["decode"], list_size, crc_on=crc_on,
-                 return_paths=True, mode=mode)
+    out = decode(spec, inputs["decode"], list_size, crc_on=crc_on, return_paths=True)
     # Survivors in lexicographic order of their u vectors, metrics alongside,
     # so the stored set does not depend on the order paths are kept in.
     order = np.stack([np.lexsort(u.T[::-1]) for u in out.all_u])
@@ -135,7 +144,7 @@ def record(path: Path = CORPUS_PATH) -> None:
         inputs = family_inputs(index)
         for key, value in inputs.items():
             arrays[f"{family}__input__{key}"] = value
-        for fam, mode, L, crc in CASES:
+        for fam, mode, L, crc in CASES + SC_CASES:
             if fam != family:
                 continue
             name = case_name(fam, mode, L, crc)

@@ -10,7 +10,9 @@ textbook per-layer and per-bit rules that the decoder replaces with one
 min tree per leaf (Stage 1) and one batched branch (the metric); the
 per-bit gather over every completion is the leaf without a min tree.
 The frozen-span penalty is the bit-by-bit SC sum that the decoder
-replaces with a closed form when it skips an all-frozen subtree.  The
+replaces with a closed form when it skips an all-frozen subtree, and the
+scalar SC decoder is the sign rule that the list decoder at L = 1 replaces
+with a branch-and-prune of one path.  The
 symbol-domain repetition combine expands every repeat to a 2^t LLR
 vector and adds the de-permuted vectors; the decoder replaces it with
 per-coefficient sums of bit LLRs and one table product.  The exhaustive
@@ -272,6 +274,50 @@ def binary_f(a: float, b: float) -> float:
 
 def binary_g(a: float, b: float, u0: int) -> float:
     return b + (1 - 2 * u0) * a
+
+
+def sc_decode(x, spec) -> list:
+    """The u of one frame by successive cancellation: the sign rule, 0 on a tie.
+
+    ``x`` is the frame's decoder input: combined (n/t, 2^t) symbol LLRs for
+    the hybrid scheme, the r*n channel bit LLRs for the baseline.  Frozen
+    bits decide 0.  The baseline sums its r copies and runs ``binary_f`` /
+    ``binary_g``; the hybrid code runs the enumerated Stage-2 updates and
+    reads each symbol's bits with ``stage1_bit_llr_enum``.
+    """
+    frozen = set(spec.frozen_set)
+    u = []
+
+    def decide(llr) -> int:
+        u.append(0 if len(u) in frozen or not llr < 0 else 1)
+        return u[-1]
+
+    if spec.scheme == "hybrid":
+        t, variant = spec.t, spec.encoder_variant
+        block_map = stage1_map_matrix(t, variant)
+        plus, minus = stage2_plus_enum, stage2_minus_enum
+
+        def leaf(s):
+            prefix = []
+            for j in range(t):
+                prefix.append(decide(stage1_bit_llr_enum(s, prefix, j, t, variant)))
+            return block_map[sum(b << j for j, b in enumerate(prefix))]
+
+        root = [np.asarray(v, dtype=np.float64) for v in x]
+    else:
+        plus, minus, leaf = binary_f, binary_g, decide
+        root = [sum(float(x[j * spec.n + i]) for j in range(spec.r)) for i in range(spec.n)]
+
+    def span(s) -> list:
+        if len(s) == 1:
+            return [leaf(s[0])]
+        h = len(s) // 2
+        left = span([plus(a, b) for a, b in zip(s[:h], s[h:])])
+        right = span([minus(a, b, v) for a, b, v in zip(s[:h], s[h:], left)])
+        return [a ^ b for a, b in zip(left, right)] + right
+
+    span(root)
+    return u
 
 
 def q_function_erfc(x: float) -> float:

@@ -174,9 +174,6 @@ def test_criterion_5_noiseless_roundtrip():
                     out = dec.scl_decode_batch(spec, s_inner, L, crc_on=False)
                     assert np.array_equal(out.u_hat[:, unfrozen], info), \
                         f"decode failure at n={n}, t={t}, {variant}, L={L}"
-                out_sc = dec.scl_decode_batch(spec, s_inner, 1, crc_on=False,
-                                              mode="sc")
-                assert np.array_equal(out_sc.u_hat[:, unfrozen], info)
 
 
 # ---------------------------------------------------------------------------

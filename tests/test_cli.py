@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -99,7 +100,9 @@ def assert_one_error_line(capsys, *words):
 
 @pytest.mark.parametrize("kv,word", [(dict(channel="rayleigh"), "rayleigh"),
                                      (dict(channel="rayleigh_block", fading_blocks=0),
-                                      "fading_blocks")])
+                                      "fading_blocks"),
+                                     (dict(channel="rayleigh_block", fading_blocks=3),
+                                      "fading_blocks = 3 does not divide N = 64")])
 def test_construct_rejects_bad_channel(tmp_path, capsys, kv, word):
     cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, **kv))
     out = tmp_path / "x.spec"
@@ -114,6 +117,24 @@ def test_construct_rejects_negative_lengths(tmp_path, capsys, kv, word):
     cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, **kv))
     out = tmp_path / "x.spec"
     assert cli.main(["construct", str(cfg_path), "-o", str(out)]) == 1
+    assert_one_error_line(capsys, word)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kv,word", [
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(ebn0_list="1.0,nan"), "ebn0_list entry nan"),
+    (dict(ebn0_list="inf"), "ebn0_list entry inf"),
+    (dict(ebn0_list="2.0,-inf"), "ebn0_list entry -inf"),
+    (dict(ebn0_list="1505"), "Eb/N0 = 1505.0 dB"),     # 2/sigma^2 past MAX_LLR_SCALE at k/N = 6/64
+    (dict(crc_poly="-0x43"), "'crc_poly': -67 is negative"),
+    (dict(crc_poly="-0x43", crc_len=6), "'crc_poly': -67 is negative"),
+    (dict(n=512, k=80, t=4, r=16, crc_len=6, list_size=2 ** 40), "list size 1099511627776")])
+def test_construct_rejects_what_simulate_would(tmp_path, capsys, kv, word):
+    # Each of these configs used to construct a spec that simulate then refused.
+    cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, **kv))
+    out = tmp_path / "x.spec"
+    assert cli.main(["construct", str(cfg_path), "-o", str(out), "--trials", "4"]) == 1
     assert_one_error_line(capsys, word)
     assert not out.exists()
 
@@ -202,17 +223,6 @@ def test_simulate_csv_reproducible(tmp_path, constructed):
     assert strip_wall(out1.read_text()) == strip_wall(out2.read_text())
 
 
-def test_simulate_sc_mode_matches_l1(tmp_path, constructed):
-    cfg_path, spec_path = constructed
-    text = edit_config(BASE_CONFIG, ebn0_list="0.0", max_frames=60, list_size=1)
-    cfg2 = write_config(tmp_path, text, name="sc.cfg")
-    out1, out2 = tmp_path / "scl.csv", tmp_path / "sc.csv"
-    cli.main(["simulate", str(cfg2), "--spec", str(spec_path), "-o", str(out1)])
-    cli.main(["simulate", str(cfg2), "--spec", str(spec_path), "-o", str(out2),
-              "--decoder", "sc"])
-    assert strip_wall(out1.read_text()) == strip_wall(out2.read_text())
-
-
 def test_simulate_detects_spec_config_mismatch(tmp_path, constructed, capsys):
     cfg_path, spec_path = constructed
     text = edit_config(BASE_CONFIG, k=7)
@@ -232,6 +242,25 @@ def test_simulate_baseline_scheme(tmp_path):
     assert cli.main(["simulate", str(cfg_path), "--spec", str(spec_path),
                      "-o", str(out)]) == 0
     assert out.read_text().strip().splitlines()[1].split(",")[12] == "0"
+
+
+@pytest.mark.parametrize("scheme,t", [("hybrid", 2), ("polar_repetition", 1)])
+def test_simulate_point_does_not_depend_on_the_chunk(monkeypatch, scheme, t):
+    # Chunks of 3 frames against the default single chunk; the error stop at
+    # -2 dB falls inside a chunk of 3.
+    spec = CodeSpec(scheme, n=16, k=6, t=t, r=2, p=3, crc_poly=0b1011,
+                    frozen_set=default_frozen_set(16, 6, 3), design_snr=2.0)
+
+    def records():
+        return [dataclasses.replace(cli.simulate_point(spec, ebn0, 4, seed=7, max_frames=40,
+                                                       target_errors=target),
+                                    wall_seconds=0.0)
+                for ebn0, target in ((-2.0, 8), (2.0, 0))]
+
+    default = records()
+    monkeypatch.setattr(cli, "_chunk_size", lambda spec, list_size: 3)
+    assert records() == default
+    assert default[0].frame_errors == 8 and default[0].frames % 3 and default[1].frames == 40
 
 
 @pytest.mark.parametrize("max_frames", [0, -3])
@@ -436,6 +465,7 @@ def cli_configs(draw):
 def test_any_config_runs_or_prints_one_error_line(text):
     # construct --trials 4, then simulate on the spec it wrote: each exits 0, or
     # exits 1 after exactly one "error:" line.  An escaping exception fails the test.
+    # Once construct has exited 0, simulate may fail only for want of an Eb/N0.
     with tempfile.TemporaryDirectory() as tmp:
         cfg, spec = os.path.join(tmp, "fuzz.cfg"), os.path.join(tmp, "fuzz.spec")
         with open(cfg, "w") as fh:
@@ -449,4 +479,6 @@ def test_any_config_runs_or_prints_one_error_line(text):
                 continue
             assert code == 1 and err.getvalue().startswith("error:"), (argv[0], code, err.getvalue())
             assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert argv[0] == "construct" or not cli.parse_config(cfg).ebn0_list, \
+                err.getvalue()
             break

@@ -62,6 +62,14 @@ def test_rejects_crc_poly_degree_mismatch():
         valid_spec(crc_poly=0b1011)
 
 
+@pytest.mark.parametrize("p", [0, 6])
+def test_rejects_negative_crc_poly(p):
+    # -0x43 has bit length 7, so at p = 6 the degree check alone passed it, and
+    # save_spec then wrote "0x-43", which load_spec refuses.
+    with pytest.raises(ValueError, match="'crc_poly': -67 is negative"):
+        valid_spec(p=p, crc_poly=-0x43, frozen_set=default_frozen_set(32, 12, p))
+
+
 def test_rejects_unknown_scheme_and_variant():
     with pytest.raises(ValueError, match="'scheme'"):
         valid_spec(scheme="turbo")

@@ -434,10 +434,10 @@ def test_pm_update_examples():
         oracles.pm_update(-1.0, 0.0, 0)
     pm = np.array([1.0, 1.0, 2.0, 0.0, 0.5, 3.0])
     s = np.array([3.0, -3.0, 0.0, -1.5, -0.0, 2.5])
-    branch = _PathState(len(pm), 2, 2, np.zeros(2, dtype=bool), "list")
+    branch = _PathState(len(pm), 2, 2, np.zeros(2, dtype=bool))
     branch.pm = pm[:, None].copy()
     branch.decide_bit(s[:, None], 0)
-    frozen = _PathState(len(pm), 2, 2, np.array([True, False]), "list")
+    frozen = _PathState(len(pm), 2, 2, np.array([True, False]))
     frozen.pm = pm[:, None].copy()
     bits, _ = frozen.decide_bit(s[:, None], 0)
     assert not bits.any()
@@ -449,7 +449,7 @@ def test_pm_update_examples():
 
 def test_pruning_keeps_l_smallest_with_stable_ties():
     spec = spec_for(scheme="polar_repetition", n=4, k=4, t=1, r=1)
-    state = _PathState(1, 4, 2, np.zeros(4, dtype=bool), "list")
+    state = _PathState(1, 4, 2, np.zeros(4, dtype=bool))
     # Force four paths with crafted metrics via two branchings.
     state.decide_bit(np.array([[1.0]]), 0)            # -> pms [0, 1]
     state.decide_bit(np.array([[0.5, 0.5]]), 1)       # -> candidates [0,.5,1,1.5]
@@ -463,7 +463,7 @@ def test_pruning_keeps_l_smallest_with_stable_ties():
     assert out.all_u.tolist() == [[[0, 0, 0, 0], [0, 0, 1, 0]]]
     assert out.u_hat.tolist() == [[0, 0, 0, 0]]
     # Tie case: equal penalties keep the lower path index.
-    state2 = _PathState(1, 4, 2, np.zeros(4, dtype=bool), "list")
+    state2 = _PathState(1, 4, 2, np.zeros(4, dtype=bool))
     state2.decide_bit(np.array([[0.0]]), 0)           # pms [0, 0] tie
     bits, _ = state2.decide_bit(np.array([[0.0, 0.0]]), 1)
     assert np.allclose(state2.pm, 0.0)
@@ -505,7 +505,7 @@ def test_origin_since_matches_per_frame_composition(seed, list_size, epoch):
     # origin_since composes maps across prunes.  Composing the per-frame maps
     # one step at a time with take_along_axis gives the same paths.
     rng = np.random.default_rng(seed)
-    state = _PathState(3, 5, list_size, np.zeros(5, dtype=bool), "list")
+    state = _PathState(3, 5, list_size, np.zeros(5, dtype=bool))
     rows = np.arange(3)[:, None]
     per_frame, widths = [], []
     for i in range(5):
@@ -554,10 +554,10 @@ def test_binary_rate0_penalty_matches_bitwise_sc(seed, length):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from([1, 2, 4, "baseline"]),
-       half=st.sampled_from([1, 2, 4]), mode=st.sampled_from(["list", "sc"]))
-def test_frozen_left_child_price(seed, family, half, mode):
-    # A frozen left child is priced without its check update: in list mode the
-    # metric grows by rate0(plus(A, B)); SC metrics ignore frozen bits.
+       half=st.sampled_from([1, 2, 4]))
+def test_frozen_left_child_price(seed, family, half):
+    # A frozen left child is priced without its check update: the metric grows
+    # by rate0(plus(A, B)).
     rng = np.random.default_rng(seed)
     if family == "baseline":
         plus, minus, rate0 = _f_bin, _g_bin, _rate0_bin
@@ -565,7 +565,7 @@ def test_frozen_left_child_price(seed, family, half, mode):
     else:
         plus, minus, rate0 = stage2_plus, stage2_minus, stage2_rate0_penalty
         s = rng.normal(0.5, 3.0, size=(2, 3, 2 * half, 1 << family))
-    state = _PathState(2, 2 * half, 8, np.arange(2 * half) < half, mode)
+    state = _PathState(2, 2 * half, 8, np.arange(2 * half) < half)
     state.pm = np.zeros((2, 3))
     leaves = []
 
@@ -575,11 +575,8 @@ def test_frozen_left_child_price(seed, family, half, mode):
 
     x = decoder._span(state, s, plus, minus, leaf, rate0, 0)
     assert leaves == list(range(half, 2 * half)) and not x.any()
-    if mode == "list":
-        expected = rate0(plus(s[:, :, :half], s[:, :, half:]))
-        np.testing.assert_allclose(state.pm, expected, rtol=PM_TOL, atol=PM_TOL)
-    else:
-        assert not state.pm.any()
+    expected = rate0(plus(s[:, :, :half], s[:, :, half:]))
+    np.testing.assert_allclose(state.pm, expected, rtol=PM_TOL, atol=PM_TOL)
 
 
 def test_rate0_subtrees_are_not_descended(monkeypatch):
@@ -607,18 +604,6 @@ def test_rate0_subtrees_are_not_descended(monkeypatch):
 
 
 # --- End-to-end decoding ------------------------------------------------------------
-
-def test_scl_l1_matches_sc_rule():
-    rng = np.random.default_rng(7)
-    spec = spec_for(n=32, k=12, t=2, r=2, p=0)
-    tables = spec.field_tables()
-    for _ in range(50):
-        info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
-        s_inner = hybrid_channel_llrs(spec, tables, info, rng, ebn0_db=1.0)
-        res_l1 = scl_decode_batch(spec, s_inner[None], 1, crc_on=False)
-        res_sc = scl_decode_batch(spec, s_inner[None], 1, crc_on=False, mode="sc")
-        assert np.array_equal(res_l1.u_hat, res_sc.u_hat)
-
 
 def test_noiseless_roundtrip_sweep():
     rng = np.random.default_rng(8)
@@ -700,7 +685,7 @@ def test_coefficient_transparency_statistical():
         cfg = ch.ChannelConfig("awgn", -2.0, spec.rate)
         y, h = ch.transmit(x, cfg, rng)
         s_inner = combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), coeffs, tables)
-        out = scl_decode_batch(spec, s_inner, 1, crc_on=False, mode="sc")
+        out = scl_decode_batch(spec, s_inner, 1, crc_on=False)
         errs = (out.u_hat[:, spec.unfrozen_indices()] != info).any(axis=1).sum()
         fer[use_rho] = errs / frames
     p1, p2 = fer[True], fer[False]
@@ -743,20 +728,6 @@ def test_baseline_noiseless_roundtrip():
         llrs = ch.initial_llrs(y, h, cfg.sigma2)
         res = baseline_decode_batch(spec, llrs[None], L)
         assert np.array_equal(res.u_hat[0, spec.unfrozen_indices()[:spec.k]], info)
-
-
-def test_baseline_scl_l1_matches_sc():
-    rng = np.random.default_rng(16)
-    spec = spec_for(scheme="polar_repetition", n=32, k=16, t=1, r=2, p=0)
-    cfg = ch.ChannelConfig("awgn", 0.0, spec.rate)
-    for _ in range(50):
-        info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
-        x = 1.0 - 2.0 * enc.encode_baseline(info, spec).symbols
-        y, h = ch.transmit(x, cfg, rng)
-        llrs = ch.initial_llrs(y, h, cfg.sigma2)
-        assert np.array_equal(baseline_decode_batch(spec, llrs[None], 1, crc_on=False).u_hat,
-                              baseline_decode_batch(spec, llrs[None], 1, crc_on=False,
-                                                    mode="sc").u_hat)
 
 
 def test_hybrid_t1_unit_rho_matches_baseline_decisions():
@@ -844,8 +815,8 @@ def test_batch_and_single_frame_agree():
        data=st.data(), list_size=st.sampled_from([1, 2, 4, 8]),
        family=st.sampled_from([("hybrid", 2, "flat"), ("hybrid", 4, "recursive"),
                                ("polar_repetition", 1, "flat")]),
-       mode=st.sampled_from(["list", "sc"]), crc_on=st.booleans())
-def test_batch_split_invariance(seed, frames, data, list_size, family, mode, crc_on):
+       crc_on=st.booleans())
+def test_batch_split_invariance(seed, frames, data, list_size, family, crc_on):
     # Decoding F frames in one call equals decoding them in two calls.
     scheme, t, variant = family
     spec = spec_for(scheme=scheme, n=32, k=10, t=t, r=2, p=6, variant=variant)
@@ -858,8 +829,8 @@ def test_batch_split_invariance(seed, frames, data, list_size, family, mode, crc
         x = rng.normal(1.0, 2.0, size=(frames, spec.N))
         decode = baseline_decode_batch
     cut = data.draw(st.integers(1, frames - 1))
-    whole = decode(spec, x, list_size, crc_on=crc_on, return_paths=True, mode=mode)
-    parts = [decode(spec, x[sl], list_size, crc_on=crc_on, return_paths=True, mode=mode)
+    whole = decode(spec, x, list_size, crc_on=crc_on, return_paths=True)
+    parts = [decode(spec, x[sl], list_size, crc_on=crc_on, return_paths=True)
              for sl in (slice(None, cut), slice(cut, None))]
     for field in ("u_hat", "crc_pass", "chosen_pm", "list_rank", "all_u", "all_pm"):
         joined = np.concatenate([getattr(p, field) for p in parts])
@@ -875,21 +846,22 @@ def random_decoder_input(spec, rng, frames):
     return rng.normal(1.0, 2.0, size=(frames, spec.N))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32),
-       family=st.sampled_from([("hybrid", 1, "flat"), ("hybrid", 2, "flat"),
-                               ("hybrid", 4, "flat"), ("hybrid", 4, "recursive"),
-                               ("polar_repetition", 1, "flat")]))
-def test_sc_equals_list_size_one(seed, frozen, family):
-    # SC's hard sign rule and a list of one path make the same decisions.
-    scheme, t, variant = family
+       scheme=st.sampled_from(["hybrid", "polar_repetition"]), t=st.sampled_from([1, 2, 4]),
+       variant=st.sampled_from(["flat", "recursive"]), integer=st.booleans())
+def test_sc_equals_list_size_one(seed, frozen, scheme, t, variant, integer):
+    # A list of one path decides every bit by the scalar SC sign rule.  Integer
+    # LLRs stay exact through every update, so they make exact ties (0 wins).
+    t, variant = (t, variant) if scheme == "hybrid" else (1, "flat")
     spec = spec_for(scheme=scheme, n=32, k=32 - len(frozen), t=t, r=2, variant=variant,
                     frozen=frozen)
-    x = random_decoder_input(spec, np.random.default_rng(seed), frames=4)
+    x = random_decoder_input(spec, np.random.default_rng(seed), frames=3)
+    if integer:
+        x = np.round(x)
     decode = scl_decode_batch if scheme == "hybrid" else baseline_decode_batch
-    sc = decode(spec, x, 1, crc_on=False, mode="sc")
-    l1 = decode(spec, x, 1, crc_on=False, mode="list")
-    assert np.array_equal(sc.u_hat, l1.u_hat)
+    u_hat = decode(spec, x, 1, crc_on=False).u_hat
+    assert [oracles.sc_decode(frame, spec) for frame in x] == u_hat.tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -917,9 +889,8 @@ def test_noiseless_roundtrip(seed, frozen, list_size, family):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32),
-       list_size=st.sampled_from([1, 2, 4, 8]), mode=st.sampled_from(["list", "sc"]),
-       crc_on=st.booleans())
-def test_hybrid_t1_unit_rho_equals_baseline(seed, frozen, list_size, mode, crc_on):
+       list_size=st.sampled_from([1, 2, 4, 8]), crc_on=st.booleans())
+def test_hybrid_t1_unit_rho_equals_baseline(seed, frozen, list_size, crc_on):
     # Over GF(2) with unit coefficients the hybrid code is the baseline code.
     n, r = 32, 2
     p = 6 if len(frozen) <= n - 6 else 0
@@ -927,10 +898,8 @@ def test_hybrid_t1_unit_rho_equals_baseline(seed, frozen, list_size, mode, crc_o
                                frozen=frozen) for scheme in ("hybrid", "polar_repetition"))
     llrs = np.random.default_rng(seed).normal(1.0, 2.0, size=(4, r * n))
     s_inner = combine_repetitions(llrs, np.ones((4, r - 1, n), dtype=np.int64), build_field(1))
-    hyb = scl_decode_batch(spec_h, s_inner, list_size, crc_on=crc_on, return_paths=True,
-                           mode=mode)
-    base = baseline_decode_batch(spec_b, llrs, list_size, crc_on=crc_on, return_paths=True,
-                                 mode=mode)
+    hyb = scl_decode_batch(spec_h, s_inner, list_size, crc_on=crc_on, return_paths=True)
+    base = baseline_decode_batch(spec_b, llrs, list_size, crc_on=crc_on, return_paths=True)
     for field in ("u_hat", "crc_pass", "list_rank", "all_u"):
         assert np.array_equal(getattr(hyb, field), getattr(base, field)), field
     for field in ("chosen_pm", "all_pm"):
@@ -957,18 +926,6 @@ def test_surviving_paths_are_distinct(seed, frozen, family, list_size):
     assert len(np.unique(paths, axis=0)) == len(paths)
 
 
-@pytest.mark.parametrize("mode", ["SC", "genie", "List"])
-def test_unknown_mode_is_rejected(mode):
-    # "SC" used to run the list branching without frozen-bit penalties
-    # (every metric 0.0) and "genie" ended in a TypeError on genie_u.
-    spec_h = spec_for(n=16, k=8, t=2, r=2)
-    spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
-    with pytest.raises(ValueError, match="mode"):
-        scl_decode_batch(spec_h, np.ones((1, 8, 4)), 4, mode=mode)
-    with pytest.raises(ValueError, match="mode"):
-        baseline_decode_batch(spec_b, np.ones((1, 32)), 4, mode=mode)
-
-
 def test_list_size_budget_counts_reachable_paths(monkeypatch):
     # k + p = 3 unfrozen bits reach at most 8 paths; a hybrid path holds
     # n/t * 2^t = 32 LLR entries, a baseline path n = 16.
@@ -977,7 +934,6 @@ def test_list_size_budget_counts_reachable_paths(monkeypatch):
     x_h, x_b = np.ones((1, 8, 4)), np.ones((1, 32))
     monkeypatch.setattr(decoder, "MAX_PATH_ENTRIES", 4 * 32)
     scl_decode_batch(spec_h, x_h, 4)
-    scl_decode_batch(spec_h, x_h, 5, mode="sc")             # SC keeps one path
     baseline_decode_batch(spec_b, x_b, 8)
     with pytest.raises(ValueError, match="list size 5"):
         scl_decode_batch(spec_h, x_h, 5)
