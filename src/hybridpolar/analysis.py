@@ -10,6 +10,10 @@ cancellation pass spends on LLR updates, split by decoder part:
   Stage-2 updates, and (n/t) * sum_{i=1..t} (2(2^{t-i} - 1) + 1) for
   the Stage-1 bit extraction.
 
+These are the paper's bit-by-bit SC updates, not the work the decoder
+executes: it skips rate-0 spans and decodes spans with no frozen bit in
+one step.
+
 Weight spectra are estimated by decoding an all-zero transmission at
 very high SNR with a large-list decoder, re-encoding every surviving
 path and recording nonzero codeword weights; the exhaustive encoder

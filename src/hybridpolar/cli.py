@@ -252,7 +252,7 @@ def cmd_construct(args) -> int:
     params = spec_from_config(cfg)
     # Refuse what simulate would stop on (list size, Eb/N0) before any trial runs.
     _decoder.frame_path_entries(params, cfg.list_size)
-    for ebn0 in cfg.ebn0_list if params.k else ():   # k = 0 has no rate to place Eb/N0 at
+    for ebn0 in cfg.ebn0_list:
         _channel.ChannelConfig(cfg.channel, ebn0, params.rate, cfg.fading_blocks)
     spec = _codespec.construct_code(params, trials=args.trials, seed=cfg.seed)
     save_spec(spec, args.output)

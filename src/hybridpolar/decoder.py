@@ -19,9 +19,13 @@ Decoding a hybrid frame has four parts:
    and the re-packed symbol is fed back into the Stage-2 recursion.
    A frozen (rate-0) subtree is skipped: it decodes to zero with a
    closed-form penalty (:func:`stage2_rate0_penalty`), and a frozen left
-   child skips even its check update.  Decisions are
-   stored once with their parent pointers, not copied per path, and
-   one backtrack at the end reads out every survivor.
+   child skips even its check update.  A subtree of two or more symbols
+   with no frozen bit is listed in one step (:func:`_symbol_node`): the
+   paths fork q ways on their least reliable symbols only, and an exact
+   tie sends the subtree back to the bit-by-bit recursion, so decisions
+   do not change.  Decisions are stored once with their parent pointers,
+   not copied per path, and one backtrack at the end reads out every
+   survivor.
 
 One recursion, :func:`_span`, serves both schemes: the baseline polar-repetition
 scheme swaps in scalar LLRs and binary kernels (min-sum f/g, one-bit leaf, rate-0 penalty).
@@ -45,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import crc_check, stage1_block_map
+from .encoder import crc_check, polar_transform, stage1_block_map
 from .galois import FieldTables, build_field, unpack_symbol_array
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -229,7 +233,8 @@ class _PathState:
         self.n = n
         self.L = list_size
         self.frozen_mask = frozen_mask
-        self.leaf_frozen = frozen_mask  # per recursion leaf; _decode sets it per scheme
+        # Per recursion leaf (_decode sets them per scheme): all its bits frozen / any.
+        self.leaf_frozen = self.leaf_has_frozen = frozen_mask
         self.pm = np.zeros((n_frames, 1))
         self.trace: list[tuple] = []
         self.origins: list[np.ndarray] = []
@@ -285,11 +290,14 @@ def _gather_paths(arr: np.ndarray, origin: np.ndarray) -> np.ndarray:
 # The SC/SCL recursion and its per-scheme kernels
 # ---------------------------------------------------------------------------
 
-def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int) -> np.ndarray:
+def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
+          first: int) -> np.ndarray:
     """Decode the span ``s`` (frames, paths, length, ...) whose first leaf is ``first``.
 
     ``plus``/``minus`` are the kernel's check and variable updates, ``leaf(state, s, i)``
-    decides leaf i and ``rate0(s)`` prices an all-frozen span; returns the re-encoding.
+    decides leaf i and ``rate0(s)`` prices an all-frozen span; ``node(state, s, first)``,
+    if not None, decides a span with no frozen bit in one step or returns None to recurse.
+    Returns the re-encoding.
     """
     genie = state.genie_u is not None
     erred = genie and (state.first_error >= 0).all()
@@ -302,6 +310,10 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int
     half = s.shape[2] // 2
     if half == 0:
         return leaf(state, s[:, :, 0], first)[:, :, None]
+    if node is not None and not state.leaf_has_frozen[first:first + 2 * half].any():
+        x = node(state, s, first)
+        if x is not None:
+            return x
     # The left half of the span carries the XOR of the two virtual
     # inputs, the right half the second one alone.
     left_frozen = state.leaf_frozen[first:first + half].all()
@@ -309,7 +321,8 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int
         x_left = np.zeros(s.shape[:2] + (half,), dtype=np.int8)
     else:
         epoch = len(state.origins)
-        x_left = _span(state, plus(s[:, :, :half], s[:, :, half:]), plus, minus, leaf, rate0, first)
+        x_left = _span(state, plus(s[:, :, :half], s[:, :, half:]), plus, minus, leaf, rate0,
+                       node, first)
         origin = state.origin_since(epoch)
         if origin is not None:
             s = _gather_paths(s, origin)
@@ -317,7 +330,7 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, first: int
     if left_frozen and not genie:   # the span's rate-0 penalty less the right child's
         state.pm += rate0(s) - rate0(s_right)
     epoch = len(state.origins)
-    x_right = _span(state, s_right, plus, minus, leaf, rate0, first + half)
+    x_right = _span(state, s_right, plus, minus, leaf, rate0, node, first + half)
     origin = state.origin_since(epoch)
     if origin is not None:
         x_left = _gather_paths(x_left, origin)
@@ -336,6 +349,56 @@ def _symbol_leaf(block_map: np.ndarray, state: _PathState, s: np.ndarray,
             tree, prefix = _gather_paths(tree, origin), _gather_paths(prefix, origin)
         prefix = prefix | (bits << j)
     return block_map[prefix]
+
+
+def _symbol_node(inverse_map: np.ndarray, state: _PathState, s: np.ndarray,
+                 first: int) -> np.ndarray | None:
+    """List the span ``s`` of Stage-2 symbols, none with a frozen bit, in one step.
+
+    A path's metric grows by sum_i (S_i[x_i] - min S_i) over the span codeword x, so in the
+    top L only its K = min(L - 1, m) least reliable symbols (smallest second-lowest cost)
+    can leave their best value.  Each path forks q ways on those, one at a time, keeping the
+    L smallest metrics after each fork; the survivors are ordered by parent, then u bits in
+    decision order, as bit-by-bit pruning keeps them.  An exact tie at a selection boundary
+    returns None before any state is written, and the recursion decodes the span.
+    """
+    f, a, m, q = s.shape
+    t, L, k = q.bit_length() - 1, state.L, min(state.L - 1, m)
+    flat = s.reshape(-1, m, q)
+    best = flat.argmin(axis=-1)                                        # (f*a, m)
+    low, second = np.sort(flat, axis=-1)[..., :2].transpose(2, 0, 1).copy()
+    order = np.argsort(second - low, axis=-1, kind="stable")
+    ranked = np.sort(np.pad(second - low, ((0, 0), (1, 0))), axis=-1)   # 0, reliabilities
+    if k < m and (ranked[:, k] == ranked[:, k + 1]).any():
+        return None
+    pm, parent, vals = state.pm, np.arange(f * a).reshape(f, a), np.zeros((f, a, 0), int)
+    for j in range(k):
+        sym = order[parent, j]
+        pm = (pm[..., None] + flat[parent, sym] - low[parent, sym][..., None]).reshape(f, -1)
+        keep = np.broadcast_to(np.arange(pm.shape[1]), pm.shape)
+        if pm.shape[1] > L:
+            keep = np.argpartition(pm, (L - 1, L), axis=1)
+            edge = np.take_along_axis(pm, keep[:, L - 1:L + 1], axis=1)
+            if (edge[:, 0] == edge[:, 1]).any():
+                return None
+            keep = keep[:, :L]
+            pm = np.take_along_axis(pm, keep, axis=1)
+        parent = np.take_along_axis(parent, keep // q, axis=1)
+        vals = np.concatenate([np.take_along_axis(vals, (keep // q)[..., None], axis=1),
+                               (keep % q)[..., None]], axis=-1)
+    x = best[parent]                                                   # (f, paths, m)
+    np.put_along_axis(x, order[parent, :k], vals, axis=-1)
+    u = ((inverse_map[polar_transform(x)][..., None] >> np.arange(t)) & 1).reshape(-1, m * t)
+    rank = np.lexsort(np.vstack([u.T[::-1], parent.reshape(1, -1)]))
+    # Commit: one parent map, then one trace entry per bit (identity maps after the first).
+    shape = pm.shape
+    state.pm, parent = np.take(pm, rank).reshape(shape), np.take(parent, rank).reshape(shape)
+    state.origins.append(parent)
+    bits = np.ascontiguousarray(u[rank].T, dtype=np.int8).reshape((m * t,) + shape)
+    identity = np.arange(rank.size).reshape(shape)
+    for d in range(m * t):
+        state.trace.append((first * t + d, bits[d], parent if d == 0 else identity))
+    return np.take(x.reshape(-1, m), rank, axis=0).reshape(shape + (m,))
 
 
 def _bit_leaf(state: _PathState, s: np.ndarray, i: int) -> np.ndarray:
@@ -362,12 +425,19 @@ def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
     """
     root = np.asarray(channel_input, dtype=np.float64)
     if spec.scheme == "hybrid":
-        leaf = functools.partial(_symbol_leaf, stage1_block_map(spec.t, spec.encoder_variant))
-        state.leaf_frozen = state.frozen_mask.reshape(-1, spec.t).all(axis=1)
-        _span(state, root[:, None], stage2_plus, stage2_minus, leaf, stage2_rate0_penalty, 0)
+        block_map = stage1_block_map(spec.t, spec.encoder_variant)
+        leaf = functools.partial(_symbol_leaf, block_map)
+        # A genie pass corrects every bit, so it stays on the recursion.
+        node = None if state.genie_u is not None else functools.partial(
+            _symbol_node, np.argsort(block_map))
+        frozen = state.frozen_mask.reshape(-1, spec.t)
+        state.leaf_frozen, state.leaf_has_frozen = frozen.all(axis=1), frozen.any(axis=1)
+        _span(state, root[:, None], stage2_plus, stage2_minus, leaf, stage2_rate0_penalty,
+              node, 0)
     else:
+        # No node: over scalar LLRs it saved no time, and its temporaries grew the heap.
         _span(state, combine_baseline(root, spec.r)[:, None], _f_bin, _g_bin, _bit_leaf,
-              _rate0_bin, 0)
+              _rate0_bin, None, 0)
 
 
 # ---------------------------------------------------------------------------

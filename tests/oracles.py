@@ -12,7 +12,9 @@ per-bit gather over every completion is the leaf without a min tree.
 The frozen-span penalty is the bit-by-bit SC sum that the decoder
 replaces with a closed form when it skips an all-frozen subtree, and the
 scalar SC decoder is the sign rule that the list decoder at L = 1 replaces
-with a branch-and-prune of one path.  The
+with a branch-and-prune of one path.  The span enumerator scores every
+codeword of a span with no frozen bit for every incoming path; the decoder
+forks only the least reliable symbols of such a span instead.  The
 symbol-domain repetition combine expands every repeat to a 2^t LLR
 vector and adds the de-permuted vectors; the decoder replaces it with
 per-coefficient sums of bit LLRs and one table product.  The exhaustive
@@ -370,6 +372,36 @@ def permute_and_add(s_in: np.ndarray, coefficients: np.ndarray, tables) -> np.nd
     view += q * np.arange(n2)[:, None]
     rest = np.take(blocks, idx)
     return blocks[..., 0, :, :] + rest.sum(axis=-3)
+
+
+# --- Exhaustive list extension through a span with no frozen bit -------------
+
+def span_top_list(s, pm, list_size: int, t: int, variant: str):
+    """The L best extensions of a list through a span with no frozen bit, by scoring all.
+
+    ``s`` holds each incoming path's (m, 2^t) span input and ``pm`` its metric.
+    Every path extends by each of the q^m span codewords x, at metric
+    pm + sum_i (s_i[x_i] - min s_i).  The span's m*t decided bits u are, for
+    each symbol of the polar transform of x (dense matrices, bit plane by bit
+    plane), its Stage-1 input tuple: bit j of symbol i sits at i*t + j.
+    Returns the (metric, parent, u, x) of the L smallest extensions, in the
+    order (metric, parent, u bits), and whether the L-th metric is strictly
+    below the next one (True when nothing is cut).
+    """
+    s = np.asarray(s, dtype=np.float64)
+    paths, m, q = s.shape
+    x = np.indices((q,) * m).reshape(m, -1).T                         # (q^m, m)
+    cost = (s[:, np.arange(m), x] - s.min(axis=-1)[:, None, :]).sum(axis=-1)
+    w = sum(matrix_polar_transform((x >> b) & 1) << b for b in range(t))
+    tuples = np.argsort(stage1_map_matrix(t, variant))[w]            # symbol -> tuple
+    u = ((tuples[..., None] >> np.arange(t)) & 1).reshape(len(x), m * t)
+    metric = (np.asarray(pm, dtype=np.float64)[:, None] + cost).ravel()
+    parent = np.repeat(np.arange(paths), len(x))
+    u_all = np.tile(u, (paths, 1))
+    order = np.lexsort(np.vstack([u_all.T[::-1], parent, metric]))
+    top = order[:list_size]
+    unique = len(order) <= list_size or metric[order[list_size - 1]] < metric[order[list_size]]
+    return metric[top], parent[top], u_all[top], np.tile(x, (paths, 1))[top], unique
 
 
 # --- Exhaustive weight enumeration, one codeword at a time --------------------

@@ -121,6 +121,10 @@ def test_construct_rejects_negative_lengths(tmp_path, capsys, kv, word):
     assert not out.exists()
 
 
+# A k = 0 code whose p = n CRC bits fill every position: no frozen bit to rank, no rate.
+K0_FULL_CRC = dict(scheme="polar_repetition", n=4, t=1, r=2, k=0, crc_len=4, crc_poly="0x13")
+
+
 @pytest.mark.parametrize("kv,word", [
     (dict(seed=-1), "seed must be >= 0, got -1"),
     (dict(ebn0_list="1.0,nan"), "ebn0_list entry nan"),
@@ -129,7 +133,8 @@ def test_construct_rejects_negative_lengths(tmp_path, capsys, kv, word):
     (dict(ebn0_list="1505"), "Eb/N0 = 1505.0 dB"),     # 2/sigma^2 past MAX_LLR_SCALE at k/N = 6/64
     (dict(crc_poly="-0x43"), "'crc_poly': -67 is negative"),
     (dict(crc_poly="-0x43", crc_len=6), "'crc_poly': -67 is negative"),
-    (dict(n=512, k=80, t=4, r=16, crc_len=6, list_size=2 ** 40), "list size 1099511627776")])
+    (dict(n=512, k=80, t=4, r=16, crc_len=6, list_size=2 ** 40), "list size 1099511627776"),
+    (K0_FULL_CRC, "code rate must be positive")])
 def test_construct_rejects_what_simulate_would(tmp_path, capsys, kv, word):
     # Each of these configs used to construct a spec that simulate then refused.
     cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, **kv))
@@ -137,6 +142,14 @@ def test_construct_rejects_what_simulate_would(tmp_path, capsys, kv, word):
     assert cli.main(["construct", str(cfg_path), "-o", str(out), "--trials", "4"]) == 1
     assert_one_error_line(capsys, word)
     assert not out.exists()
+
+
+def test_construct_accepts_an_empty_ebn0_list(tmp_path):
+    # With no Eb/N0 point there is nothing to simulate, so even k = 0 constructs.
+    cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, ebn0_list="", **K0_FULL_CRC))
+    out = tmp_path / "x.spec"
+    assert cli.main(["construct", str(cfg_path), "-o", str(out), "--trials", "4"]) == 0
+    assert load_spec(out).k == 0
 
 
 # --- construct ----------------------------------------------------------------------

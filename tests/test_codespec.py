@@ -1,8 +1,13 @@
 import dataclasses
+import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridpolar.codespec import (CodeSpec, construct_code, default_frozen_set,
                                   first_error_counts, load_spec,
@@ -95,6 +100,34 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "code.spec"
     save_spec(spec, path)
     assert load_spec(path) == spec
+
+
+@st.composite
+def any_specs(draw):
+    """Valid specs of both schemes: any frozen-set size, p in {0, 3, 6}, any finite SNR."""
+    t = draw(st.sampled_from([1, 2, 4]))
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    p = draw(st.sampled_from([0, 3, 6]))
+    crc_poly = (1 << p) | draw(st.integers(0, (1 << p) - 1)) if p else draw(st.integers(0, 255))
+    frozen = draw(st.sets(st.integers(0, n - 1), max_size=n - p))
+    # -0.0 must keep its sign, 0.1 + 0.2 needs all 17 significant digits, 5e-324 is subnormal.
+    snr = draw(st.one_of(st.sampled_from([-0.0, 0.1 + 0.2, 5e-324]),
+                         st.floats(allow_nan=False, allow_infinity=False)))
+    return CodeSpec(scheme=draw(st.sampled_from(["hybrid", "polar_repetition"])), n=n,
+                    k=n - p - len(frozen), t=t, r=draw(st.integers(1, 16)), p=p,
+                    crc_poly=crc_poly, frozen_set=frozen, design_snr=snr,
+                    encoder_variant=draw(st.sampled_from(["flat", "recursive"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=any_specs())
+def test_save_load_roundtrip_property(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.spec")
+        save_spec(spec, path)
+        loaded = load_spec(path)
+    assert loaded == spec
+    assert math.copysign(1.0, loaded.design_snr) == math.copysign(1.0, spec.design_snr)
 
 
 def test_load_rejects_wrong_frozen_size(tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -557,7 +558,7 @@ def test_binary_rate0_penalty_matches_bitwise_sc(seed, length):
        half=st.sampled_from([1, 2, 4]))
 def test_frozen_left_child_price(seed, family, half):
     # A frozen left child is priced without its check update: the metric grows
-    # by rate0(plus(A, B)).
+    # by rate0(plus(A, B)).  No node kernel, so the frozen-free right half recurses.
     rng = np.random.default_rng(seed)
     if family == "baseline":
         plus, minus, rate0 = _f_bin, _g_bin, _rate0_bin
@@ -573,15 +574,16 @@ def test_frozen_left_child_price(seed, family, half):
         leaves.append(i)
         return np.zeros(s_i.shape[:2], dtype=np.int64)
 
-    x = decoder._span(state, s, plus, minus, leaf, rate0, 0)
+    x = decoder._span(state, s, plus, minus, leaf, rate0, None, 0)
     assert leaves == list(range(half, 2 * half)) and not x.any()
     expected = rate0(plus(s[:, :, :half], s[:, :, half:]))
     np.testing.assert_allclose(state.pm, expected, rtol=PM_TOL, atol=PM_TOL)
 
 
 def test_rate0_subtrees_are_not_descended(monkeypatch):
-    # With the lowest half of the leaves frozen, the check update runs
-    # only along the unfrozen right half; genie mode freezes nothing.
+    # With the lowest half of the leaves frozen, the check update runs only along
+    # the unfrozen right half; genie mode freezes nothing.  A hybrid right half with
+    # no frozen bit is decided by the node kernel without any check update.
     def counted(name):
         calls = []
         kernel = getattr(decoder, name)
@@ -593,14 +595,128 @@ def test_rate0_subtrees_are_not_descended(monkeypatch):
     spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
     scl_decode_batch(spec_h, rng.normal(size=(2, 8, 4)), 4)
     baseline_decode_batch(spec_b, rng.normal(size=(2, 32)), 4)
-    # 7 and 15 without skipping; the root's check update only fed its frozen left child.
-    assert (len(plus_calls), len(f_calls)) == (3, 7)
+    # 7 and 15 without skipping; the root's check update only fed its frozen left child,
+    # and the baseline stays on the recursion.
+    assert (len(plus_calls), len(f_calls)) == (0, 7)
     # Nonnegative LLR vectors decode to the all-zero truth without error, so the
     # genie pass, which stops only once every trial has erred, visits all 7 nodes.
     clean = np.abs(rng.normal(size=(2, 8, 4)))
     clean[..., 0] = 0.0
     assert (genie_first_errors(spec_h, clean, np.zeros((2, 16), dtype=np.int8)) == -1).all()
-    assert len(plus_calls) == 3 + 7
+    assert len(plus_calls) == 7
+
+
+# --- One-step decoding of a span with no frozen bit ----------------------------------
+
+def node_state(frames, pm, list_size, bits):
+    state = _PathState(frames, bits, list_size, np.zeros(bits, dtype=bool))
+    state.pm = pm
+    return state
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([1, 2, 4]),
+       variant=st.sampled_from(["flat", "recursive"]), m=st.sampled_from([2, 4]),
+       list_size=st.sampled_from([1, 2, 4, 8]), paths=st.integers(1, 3),
+       frames=st.integers(1, 2), integer=st.booleans())
+def test_symbol_node_matches_span_enumeration(seed, t, variant, m, list_size, paths, frames,
+                                              integer):
+    # After a span with no frozen bit the list is the enumerator's top L, ordered by
+    # parent and then u bits.  Integer LLRs in -2..2 tie often: there the node may
+    # instead return None, and then it must have written nothing.
+    paths, q, first = min(paths, list_size), 1 << t, 3
+    rng = np.random.default_rng(seed)
+    if integer:
+        s = rng.integers(-2, 3, size=(frames, paths, m, q)).astype(np.float64)
+        pm = rng.integers(0, 3, size=(frames, paths)).astype(np.float64)
+    else:
+        s = rng.normal(0.0, 2.0, size=(frames, paths, m, q))
+        pm = rng.exponential(size=(frames, paths))
+    state = node_state(frames, pm, list_size, (first + m) * t)
+    x = decoder._symbol_node(np.argsort(enc.stage1_block_map(t, variant)), state, s, first)
+    if x is None:
+        assert integer and state.pm is pm and state.trace == [] and state.origins == []
+        return
+    (parent,) = state.origins
+    assert [entry[0] for entry in state.trace] == list(range(first * t, (first + m) * t))
+    assert state.trace[0][2] is parent
+    for _, _, origin in state.trace[1:]:
+        assert np.array_equal(origin, np.arange(origin.size).reshape(origin.shape))
+    u = np.stack([bits for _, bits, _ in state.trace], axis=-1)
+    for g in range(frames):
+        metric, from_path, u_top, x_top, unique = oracles.span_top_list(
+            s[g], pm[g], list_size, t, variant)
+        assert unique
+        order = np.lexsort(np.vstack([u_top.T[::-1], from_path]))
+        assert np.array_equal(parent[g], g * paths + from_path[order])
+        assert np.array_equal(u[g], u_top[order]) and np.array_equal(x[g], x_top[order])
+        np.testing.assert_allclose(state.pm[g], metric[order], rtol=PM_TOL, atol=PM_TOL)
+
+
+@pytest.mark.parametrize("list_size, s, pm", [
+    (1, [[[0, 0], [0, 3]]], [[0.0]]),                    # K = 0 and a second zero cost
+    (2, [[[0, 1], [0, 1]]], [[0.0]]),                    # equal reliabilities at places 1, 2
+    (2, [[[0, 1], [0, 2]], [[0, 1], [0, 2]]], [[0.0, 1.0]]),   # metrics 0, 1, 1, 2 at fork 1
+], ids=["second-zero-cost", "reliability-tie", "fork-tie"])
+def test_symbol_node_fallback_writes_nothing(list_size, s, pm):
+    pm, before = np.array(pm), np.array(pm)
+    state = node_state(1, pm, list_size, 8)
+    trace, origins = [(0, np.zeros((1, 1)), np.zeros((1, 1)))], [np.zeros((1, 1))]
+    state.trace, state.origins = list(trace), list(origins)
+    assert decoder._symbol_node(np.arange(2), state, np.array(s, dtype=float)[None], 2) is None
+    assert state.pm is pm and np.array_equal(pm, before)
+    assert state.trace == trace and state.origins == origins
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32), t=st.sampled_from([1, 2, 4]),
+       variant=st.sampled_from(["flat", "recursive"]),
+       list_size=st.sampled_from([1, 2, 4, 8, 16]), frames=st.integers(1, 4),
+       integer=st.booleans(), crc_on=st.booleans(), data=st.data())
+def test_symbol_node_decodes_as_the_recursion(seed, frozen, t, variant, list_size, frames,
+                                              integer, crc_on, data):
+    # The node changes no decision, survivor, order or rank; metrics move by rounding only.
+    # Two aligned leaves are unfrozen so that a span reaches the node; the drawn frozen
+    # set still leaves symbols partly frozen elsewhere.
+    start = 2 * t * data.draw(st.integers(0, 32 // (2 * t) - 1))
+    frozen = sorted(set(frozen) - set(range(start, start + 2 * t)))
+    p = 6 if len(frozen) <= 32 - 6 else 0
+    spec = spec_for(n=32, k=32 - len(frozen) - p, t=t, r=2, p=p, variant=variant,
+                    frozen=frozen)
+    rng = np.random.default_rng(seed)
+    if integer:
+        x = rng.integers(-2, 3, size=(frames, 32 // t, 1 << t)).astype(np.float64)
+    else:
+        x = random_decoder_input(spec, rng, frames)
+    calls = []
+    node = decoder._symbol_node
+
+    def spy(*args):
+        calls.append(1)
+        return node(*args)
+
+    with mock.patch.object(decoder, "_symbol_node", spy):
+        fast = scl_decode_batch(spec, x, list_size, crc_on=crc_on, return_paths=True)
+    with mock.patch.object(decoder, "_symbol_node", lambda *args: None):
+        slow = scl_decode_batch(spec, x, list_size, crc_on=crc_on, return_paths=True)
+    assert calls
+    for field in ("u_hat", "crc_pass", "list_rank", "all_u"):
+        assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
+    for field in ("chosen_pm", "all_pm"):
+        np.testing.assert_allclose(getattr(fast, field), getattr(slow, field),
+                                   rtol=PM_TOL, atol=PM_TOL, err_msg=field)
+
+
+def test_baseline_and_genie_stay_on_the_recursion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the node kernel was entered")
+
+    monkeypatch.setattr(decoder, "_symbol_node", refuse)
+    rng = np.random.default_rng(23)
+    spec_h = spec_for(n=16, k=8, t=2, r=2)
+    spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
+    baseline_decode_batch(spec_b, rng.normal(size=(2, 32)), 4)
+    genie_first_errors(spec_h, rng.normal(size=(2, 8, 4)), np.zeros((2, 16), dtype=np.int8))
 
 
 # --- End-to-end decoding ------------------------------------------------------------
