@@ -10,7 +10,8 @@ summed (:func:`hybridpolar.decoder.combine_repetitions`).
 :func:`transmit_frames` is the one transmit chain of every simulation,
 construction and spectrum run.  Frame i draws from its own generator,
 in this order: the caller's u vector, its repetition coefficients
-(unless pinned), its fading gains, its noise.
+(unless pinned), its fading gains, its noise; after one batch encode,
+each frame goes from codeword to decoder input in one in-place pass.
 """
 
 from __future__ import annotations
@@ -91,6 +92,24 @@ def bpsk_modulate(symbols: np.ndarray, t: int) -> np.ndarray:
     return x.reshape(*x.shape[:-2], -1)
 
 
+def _check_blocks(cfg: ChannelConfig, n: int) -> None:
+    if cfg.kind != "awgn" and n % cfg.fading_blocks:
+        raise ValueError(f"fading_blocks={cfg.fading_blocks} does not divide sample count {n}")
+
+
+def _receive(x: np.ndarray, cfg: ChannelConfig, rng, y: np.ndarray):
+    """Write h * x + noise into ``y``, drawing h, then the noise; returns h, scales ``x`` by it."""
+    h = 1.0   # AWGN; fading gains are (..., B, 1), one per block of N/B samples of C-ordered x
+    if cfg.kind != "awgn":
+        h = rng.rayleigh(scale=np.sqrt(0.5), size=(*x.shape[:-1], cfg.fading_blocks, 1))
+        blocks = x.reshape(h.shape[:-1] + (-1,))
+        blocks *= h
+    rng.standard_normal(out=y)   # sigma * z is rng.normal(0, sigma) bit for bit
+    y *= np.sqrt(cfg.sigma2)
+    y += x
+    return h
+
+
 def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     """Send modulated samples through the configured channel.
 
@@ -99,17 +118,11 @@ def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.nda
     E[h^2] = 1, constant over each block of t * tau_f samples; perfect
     channel state information is assumed, so h is returned as-is.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if cfg.kind == "awgn":
-        h = np.ones_like(x)
-    else:
-        b = cfg.fading_blocks
-        n_samples = x.shape[-1]
-        if n_samples % b:
-            raise ValueError(f"fading_blocks={b} does not divide sample count {n_samples}")
-        gains = rng.rayleigh(scale=np.sqrt(0.5), size=(*x.shape[:-1], b))
-        h = np.repeat(gains, n_samples // b, axis=-1)
-    return h * x + rng.normal(0.0, np.sqrt(cfg.sigma2), size=x.shape), h
+    x = np.array(x, dtype=np.float64, order="C")   # a copy: _receive scales it by h
+    _check_blocks(cfg, x.shape[-1])
+    y = np.empty_like(x)
+    h = _receive(x, cfg, rng, y)
+    return y, (np.ones_like(x).reshape(np.shape(h)[:-1] + (-1,)) * h).reshape(x.shape)
 
 
 def initial_llrs(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
@@ -132,27 +145,31 @@ def pinned_coefficients(spec: "CodeSpec", seed: int) -> np.ndarray:
 
 def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
                     pinned: np.ndarray | None = None) -> np.ndarray:
-    """Encode, modulate and transmit a (frames, n) batch of u vectors.
+    """Encode, modulate and transmit a (frames, n) batch of u vectors into decoder input.
 
-    ``rngs`` holds one generator per frame.  Hybrid frames draw their
-    repetition coefficients from it unless ``pinned`` (r-1, n/t) fixes
-    them for every frame.  Returns the decoder input: the combined
-    (frames, n/t, 2^t) symbol LLRs for the hybrid scheme, the
-    (frames, N) bit LLRs for the baseline.
+    ``rngs`` holds one generator per frame; hybrid frames draw their repetition coefficients
+    from it unless ``pinned`` (r-1, n/t) fixes them.  Each frame's bit LLRs are formed in
+    place in its row of the (frames, N) baseline output, or in one reused N-sample row whose
+    repeats are then combined into its row of the (frames, n/t, 2^t) hybrid output.
     """
     hybrid = spec.scheme == "hybrid"
+    t = spec.t if hybrid else 1
+    _check_blocks(cfg, spec.N)
     tables = spec.field_tables() if hybrid else None
     coefficients = None
     if hybrid and pinned is not None:
         coefficients = np.broadcast_to(pinned, (len(rngs),) + pinned.shape)
     elif hybrid:
-        n2 = spec.n // spec.t
-        coefficients = np.stack([_encoder.draw_coefficients(n2, spec.r, tables, rng)
+        coefficients = np.stack([_encoder.draw_coefficients(spec.n // t, spec.r, tables, rng)
                                  for rng in rngs])
-    t = spec.t if hybrid else 1
-    x = bpsk_modulate(_encoder.encode_u_vector(u, spec, tables, coefficients), t)
-    for row, rng in enumerate(rngs):   # each row's LLRs replace its samples: no (frames, N) y, h
-        x[row] = initial_llrs(*transmit(x[row], cfg, rng), cfg.sigma2)
-    if hybrid:
-        return _decoder.combine_repetitions(x, coefficients, tables)
-    return x
+    symbols = _encoder.encode_u_vector(u, spec, tables, coefficients)
+    out = np.empty((len(rngs), spec.n // t, 1 << t) if hybrid else (len(rngs), spec.N))
+    y = np.empty(spec.N)
+    for row, rng in enumerate(rngs):
+        llrs = y if hybrid else out[row]
+        h = _receive(bpsk_modulate(symbols[row], t), cfg, rng, llrs)
+        blocks = llrs.reshape(np.shape(h)[:-1] + (-1,))
+        blocks *= 2.0 / cfg.sigma2 * h   # (2/sigma^2 * h) * y, as initial_llrs rounds it
+        if hybrid:
+            out[row] = _decoder.combine_repetitions(y, coefficients[row], tables)
+    return out

@@ -296,8 +296,8 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
 
     ``plus``/``minus`` are the kernel's check and variable updates, ``leaf(state, s, i)``
     decides leaf i and ``rate0(s)`` prices an all-frozen span; ``node(state, s, first)``,
-    if not None, decides a span with no frozen bit in one step or returns None to recurse.
-    Returns the re-encoding.
+    if not None, decides a span with no frozen bit in one step or returns None to recurse
+    without it, bit by bit, down to the leaves.  Returns the re-encoding.
     """
     genie = state.genie_u is not None
     erred = genie and (state.first_error >= 0).all()
@@ -314,6 +314,7 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
         x = node(state, s, first)
         if x is not None:
             return x
+        node = None
     # The left half of the span carries the XOR of the two virtual
     # inputs, the right half the second one alone.
     left_frozen = state.leaf_frozen[first:first + half].all()

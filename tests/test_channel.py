@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from hybridpolar.channel import ChannelConfig, bpsk_modulate, initial_llrs, transmit
+from hybridpolar import encoder
+from hybridpolar.channel import (ChannelConfig, bpsk_modulate, initial_llrs, pinned_coefficients,
+                                 seeded_rng, transmit, transmit_frames)
+from hybridpolar.codespec import CodeSpec, default_frozen_set
 from hybridpolar.decoder import combine_repetitions
 from hybridpolar.galois import build_field, unpack_symbol_array
 
@@ -64,8 +69,20 @@ def test_rayleigh_gain_second_moment():
 
 def test_rayleigh_block_count_must_divide():
     cfg = ChannelConfig("rayleigh_block", ebn0_db=0.0, rate=0.5, fading_blocks=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fading_blocks=3 does not divide sample count 8"):
         transmit(np.ones(8), cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("scheme, t", [("polar_repetition", 1), ("hybrid", 2)])
+def test_transmit_frames_rejects_block_count_before_any_draw(scheme, t):
+    spec = CodeSpec(scheme=scheme, n=16, k=8, t=t, r=2, p=0, crc_poly=0,
+                    frozen_set=default_frozen_set(16, 8, 0), design_snr=1.0)
+    cfg = ChannelConfig("rayleigh_block", ebn0_db=0.0, rate=spec.rate, fading_blocks=3)
+    rngs = [seeded_rng(1, 0, j) for j in range(2)]
+    states = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(ValueError, match="fading_blocks=3 does not divide sample count 32"):
+        transmit_frames(spec, cfg, np.zeros((2, 16), dtype=np.int8), rngs)
+    assert [rng.bit_generator.state for rng in rngs] == states
 
 
 def test_sigma2_formula():
@@ -175,3 +192,65 @@ def test_initial_llrs_rejects_bad_length():
     # Five samples are not a whole number of t = 2 symbols.
     with pytest.raises(ValueError):
         symbol_llrs(np.ones(5), np.ones(5), 1.0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), size=st.integers(1, 300),
+       sigma2=st.floats(1e-12, 1e12, allow_subnormal=False))
+def test_scaled_standard_normal_is_normal_bitwise(seed, size, sigma2):
+    # The channel draws its noise as sigma * standard_normal into a reused buffer; that is
+    # rng.normal(0, sigma) bit for bit, and leaves the stream at the same place.
+    sigma = np.sqrt(sigma2)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = a.normal(0.0, sigma, size)
+    buf = np.empty(size)
+    b.standard_normal(out=buf)
+    buf *= sigma
+    assert buf.tobytes() == expected.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def frame_by_frame(spec, cfg, u, rngs, pinned):
+    """The single-frame chain per generator: coefficients, encode, modulate, transmit, LLRs."""
+    hybrid = spec.scheme == "hybrid"
+    tables = spec.field_tables() if hybrid else None
+    rows = []
+    for u_row, rng in zip(u, rngs):
+        rho = None
+        if hybrid:
+            rho = pinned if pinned is not None else encoder.draw_coefficients(
+                spec.n // spec.t, spec.r, tables, rng)
+        symbols = encoder.encode_u_vector(u_row, spec, tables, rho)
+        y, h = transmit(bpsk_modulate(symbols, spec.t if hybrid else 1), cfg, rng)
+        llrs = initial_llrs(y, h, cfg.sigma2)
+        rows.append(combine_repetitions(llrs, rho, tables) if hybrid else llrs)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("kind, blocks", [("awgn", 0), ("rayleigh_block", 4)])
+@pytest.mark.parametrize("scheme, t, pin", [("polar_repetition", 1, False),
+                                            ("hybrid", 1, False), ("hybrid", 1, True),
+                                            ("hybrid", 2, False), ("hybrid", 2, True),
+                                            ("hybrid", 4, False), ("hybrid", 4, True)])
+def test_transmit_frames_equals_the_single_frame_chain(kind, blocks, scheme, t, pin):
+    # Bit for bit, whatever the batch: one call, two calls on a split batch, and the
+    # public per-frame functions stacked.
+    spec = CodeSpec(scheme=scheme, n=32, k=16, t=t, r=4, p=0, crc_poly=0,
+                    frozen_set=default_frozen_set(32, 16, 0), design_snr=1.0)
+    cfg = ChannelConfig(kind, ebn0_db=-1.0, rate=spec.rate, fading_blocks=blocks)
+    pinned = pinned_coefficients(spec, 5) if pin else None
+
+    def generators():
+        """The u vectors and the frame generators past their u draw, as a simulation has them."""
+        rngs = [seeded_rng(5, 0, j) for j in range(5)]
+        return np.stack([rng.integers(0, 2, size=spec.n, dtype=np.int8) for rng in rngs]), rngs
+
+    u, rngs = generators()
+    whole = transmit_frames(spec, cfg, u, rngs, pinned)
+    u, rngs = generators()
+    split = np.concatenate([transmit_frames(spec, cfg, u[:2], rngs[:2], pinned),
+                            transmit_frames(spec, cfg, u[2:], rngs[2:], pinned)])
+    u, rngs = generators()
+    reference = frame_by_frame(spec, cfg, u, rngs, pinned)
+    assert whole.shape == ((5, spec.n // t, 1 << t) if scheme == "hybrid" else (5, spec.N))
+    assert whole.tobytes() == split.tobytes() == reference.tobytes()

@@ -707,6 +707,29 @@ def test_symbol_node_decodes_as_the_recursion(seed, frozen, t, variant, list_siz
                                    rtol=PM_TOL, atol=PM_TOL, err_msg=field)
 
 
+@pytest.mark.parametrize("t", [1, 2, 4])
+@pytest.mark.parametrize("list_size", [2, 4, 8])
+def test_symbol_node_not_retried_below_a_fallback(monkeypatch, t, list_size):
+    # With no frozen bit the root is the only span that reaches the node, and integer
+    # LLRs in -2..2 make it tie: a fallback decodes the whole tree bit by bit, so the
+    # node runs once per fallen-back span, not again at every level below it.
+    spec = spec_for(n=32, k=32, t=t, r=2)
+    x = np.random.default_rng(24).integers(-2, 3, size=(3, 32 // t, 1 << t)).astype(float)
+    results, node = [], decoder._symbol_node
+
+    def spy(*args):
+        results.append(node(*args))
+        return results[-1]
+
+    monkeypatch.setattr(decoder, "_symbol_node", spy)
+    fast = scl_decode_batch(spec, x, list_size, return_paths=True)
+    assert len(results) == 1 and results[0] is None
+    monkeypatch.setattr(decoder, "_symbol_node", lambda *args: None)
+    slow = scl_decode_batch(spec, x, list_size, return_paths=True)
+    for field in ("u_hat", "list_rank", "all_u"):
+        assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
+
+
 def test_baseline_and_genie_stay_on_the_recursion(monkeypatch):
     def refuse(*args):
         raise AssertionError("the node kernel was entered")
