@@ -10,13 +10,17 @@ summed (:func:`hybridpolar.decoder.combine_repetitions`).
 :func:`transmit_frames` is the one transmit chain of every simulation,
 construction and spectrum run.  Frame i draws from its own generator,
 in this order: the caller's u vector, its repetition coefficients
-(unless pinned), its fading gains, its noise; after one batch encode,
-each frame goes from codeword to decoder input in one in-place pass.
+(unless pinned), its fading gains, its noise.  A helper thread draws
+the gains and noise of each frame, in order, after the calling thread
+has drawn every frame's coefficients; no generator is ever used by two
+threads, so no stream, and no output bit, depends on their timing.
 """
 
 from __future__ import annotations
 
 import functools
+import queue
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import decoder as _decoder
 from . import encoder as _encoder
-from .galois import unpack_symbol_array
+from .galois import build_field, unpack_symbol_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from .codespec import CodeSpec
@@ -79,16 +83,16 @@ class ChannelConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def _bpsk_table(t: int) -> np.ndarray:
-    """Read-only (2^t, t) table: row s holds the samples of symbol s."""
-    table = 1.0 - 2.0 * unpack_symbol_array(np.arange(1 << t), t)
+def _bpsk_table(t: int, primitive_poly: int | None = None) -> np.ndarray:
+    """Read-only (q*q, t) table: row rho*q + c (= c*q + rho) holds the samples of rho * c."""
+    table = 1.0 - 2.0 * unpack_symbol_array(build_field(t, primitive_poly).mul.ravel(), t)
     table.setflags(write=False)
     return table
 
 
 def bpsk_modulate(symbols: np.ndarray, t: int) -> np.ndarray:
     """Unpack symbols to bits (alpha^0 coefficient first) and map 0 -> +1, 1 -> -1."""
-    x = np.take(_bpsk_table(t), symbols, axis=0)
+    x = np.take(_bpsk_table(t), np.add(symbols, 1 << t), axis=0)   # the rows of rho = 1
     return x.reshape(*x.shape[:-2], -1)
 
 
@@ -97,17 +101,22 @@ def _check_blocks(cfg: ChannelConfig, n: int) -> None:
         raise ValueError(f"fading_blocks={cfg.fading_blocks} does not divide sample count {n}")
 
 
-def _receive(x: np.ndarray, cfg: ChannelConfig, rng, y: np.ndarray):
-    """Write h * x + noise into ``y``, drawing h, then the noise; returns h, scales ``x`` by it."""
-    h = 1.0   # AWGN; fading gains are (..., B, 1), one per block of N/B samples of C-ordered x
+def _draw(cfg: ChannelConfig, rng, y: np.ndarray):
+    """Draw the gains h (..., B, 1; AWGN: 1.0), then the noise into ``y``; returns h."""
+    h = 1.0
     if cfg.kind != "awgn":
-        h = rng.rayleigh(scale=np.sqrt(0.5), size=(*x.shape[:-1], cfg.fading_blocks, 1))
+        h = rng.rayleigh(scale=np.sqrt(0.5), size=(*y.shape[:-1], cfg.fading_blocks, 1))
+    rng.standard_normal(out=y)   # sigma * z is rng.normal(0, sigma) bit for bit
+    return h
+
+
+def _receive(x: np.ndarray, h, cfg: ChannelConfig, y: np.ndarray) -> None:
+    """Turn the noise ``y`` into sigma * y + h * x in place; scales C-ordered ``x`` by h."""
+    if cfg.kind != "awgn":
         blocks = x.reshape(h.shape[:-1] + (-1,))
         blocks *= h
-    rng.standard_normal(out=y)   # sigma * z is rng.normal(0, sigma) bit for bit
     y *= np.sqrt(cfg.sigma2)
     y += x
-    return h
 
 
 def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +130,8 @@ def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.nda
     x = np.array(x, dtype=np.float64, order="C")   # a copy: _receive scales it by h
     _check_blocks(cfg, x.shape[-1])
     y = np.empty_like(x)
-    h = _receive(x, cfg, rng, y)
+    h = _draw(cfg, rng, y)
+    _receive(x, h, cfg, y)
     return y, (np.ones_like(x).reshape(np.shape(h)[:-1] + (-1,)) * h).reshape(x.shape)
 
 
@@ -143,33 +153,64 @@ def pinned_coefficients(spec: "CodeSpec", seed: int) -> np.ndarray:
                                       seeded_rng(seed, 1))
 
 
+_RING = 4   # hybrid noise buffers in flight between the two threads
+
+
+def _draw_frames(cfg: ChannelConfig, rngs, ring: np.ndarray, free, ready) -> None:
+    """Helper thread, generator calls only: draw each frame into the ring slot ``free`` gives."""
+    try:
+        for rng, slot in zip(rngs, iter(free.get, None)):
+            ready.put((_draw(cfg, rng, ring[slot]), slot))   # a None slot ends the loop
+    except BaseException as exc:   # sent in place of a frame; the calling thread raises it
+        ready.put((exc, None))
+
+
 def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
                     pinned: np.ndarray | None = None) -> np.ndarray:
     """Encode, modulate and transmit a (frames, n) batch of u vectors into decoder input.
 
-    ``rngs`` holds one generator per frame; hybrid frames draw their repetition coefficients
-    from it unless ``pinned`` (r-1, n/t) fixes them.  Each frame's bit LLRs are formed in
-    place in its row of the (frames, N) baseline output, or in one reused N-sample row whose
-    repeats are then combined into its row of the (frames, n/t, 2^t) hybrid output.
+    ``rngs`` holds one generator per frame; hybrid frames draw their coefficients from it
+    unless ``pinned`` (r-1, n/t) fixes them.  Then a helper thread draws each frame's gains
+    and noise into its (frames, N) baseline output row or a reused hybrid buffer, while this
+    thread adds the samples of rho * c, read from a table, forms the LLRs in place and
+    combines a hybrid frame into its row of the (frames, n/t, 2^t) output.
     """
     hybrid = spec.scheme == "hybrid"
-    t = spec.t if hybrid else 1
     _check_blocks(cfg, spec.N)
+    t, poly = (spec.t, spec.primitive_poly) if hybrid else (1, None)
+    q, n2 = 1 << t, spec.n // t
     tables = spec.field_tables() if hybrid else None
-    coefficients = None
-    if hybrid and pinned is not None:
-        coefficients = np.broadcast_to(pinned, (len(rngs),) + pinned.shape)
-    elif hybrid:
-        coefficients = np.stack([_encoder.draw_coefficients(spec.n // t, spec.r, tables, rng)
+    if hybrid and pinned is None:
+        coefficients = np.stack([_encoder.draw_coefficients(n2, spec.r, tables, rng)
                                  for rng in rngs])
-    symbols = _encoder.encode_u_vector(u, spec, tables, coefficients)
-    out = np.empty((len(rngs), spec.n // t, 1 << t) if hybrid else (len(rngs), spec.N))
-    y = np.empty(spec.N)
-    for row, rng in enumerate(rngs):
-        llrs = y if hybrid else out[row]
-        h = _receive(bpsk_modulate(symbols[row], t), cfg, rng, llrs)
-        blocks = llrs.reshape(np.shape(h)[:-1] + (-1,))
-        blocks *= 2.0 / cfg.sigma2 * h   # (2/sigma^2 * h) * y, as initial_llrs rounds it
-        if hybrid:
-            out[row] = _decoder.combine_repetitions(y, coefficients[row], tables)
+    else:   # the baseline repeats with rho = 1
+        coefficients = np.asarray(pinned if hybrid else np.ones((spec.r - 1, n2), int))[None]
+    rho = _encoder.block_coefficients(coefficients, spec.r, n2, q)   # (frames or 1, r, n2)
+    keys = rho + q * np.arange(n2)   # the combine keys i*q + rho
+    outer = q * _encoder.encode_u_vector(u, spec)   # c*q: row c*q + rho holds rho * c
+    samples = _bpsk_table(t, poly)
+    out = np.empty((len(rngs), n2, q) if hybrid else (len(rngs), spec.N))
+    ring = np.empty((min(_RING, len(rngs)), spec.N)) if hybrid else out
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for slot in range(min(_RING, len(ring))):
+        free.put(slot)
+    helper = threading.Thread(target=_draw_frames, args=(cfg, rngs, ring, free, ready),
+                              daemon=True)
+    helper.start()
+    try:
+        for row in range(len(rngs)):
+            x = np.take(samples, outer[row] + rho[row % len(rho)], axis=0).reshape(-1)
+            h, slot = ready.get()
+            if slot is None:
+                raise h
+            y = ring[slot]
+            _receive(x, h, cfg, y)
+            blocks = y.reshape(np.shape(h)[:-1] + (-1,))
+            blocks *= 2.0 / cfg.sigma2 * h   # (2/sigma^2 * h) * y, as initial_llrs rounds it
+            if hybrid:
+                out[row] = _decoder.combine_keyed(y, keys[row % len(keys)], tables)
+            free.put((row + _RING) % len(ring))   # frame row + _RING's slot or output row
+    finally:
+        free.put(None)
+        helper.join()
     return out

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encoder import crc_check, polar_transform, stage1_block_map
+from .encoder import block_coefficients, crc_check, polar_transform, stage1_block_map
 from .galois import FieldTables, build_field, unpack_symbol_array
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,17 +82,22 @@ def combine_repetitions(bit_llrs: np.ndarray, coefficients: np.ndarray,
     lead, r, n2 = coefficients.shape[:-2], coefficients.shape[-2] + 1, coefficients.shape[-1]
     if np.shape(bit_llrs) != lead + (r * n2 * t,):
         raise ValueError(f"bit LLR shape {np.shape(bit_llrs)} is not {lead + (r * n2 * t,)}")
-    if coefficients.size and not (coefficients.min() >= 1 and coefficients.max() < q):
-        raise ValueError("repetition coefficients must be nonzero field elements")
-    keys = np.empty(lead + (r, n2), dtype=np.int64)   # C order even for a broadcast rho
-    keys[..., 0, :], keys[..., 1:, :] = 1, coefficients
+    keys = block_coefficients(coefficients, r, n2, q)
     keys += q * np.arange(keys.size // r).reshape(lead + (1, n2))   # (frame*n2 + i)*q + rho
+    return combine_keyed(bit_llrs, keys, tables).reshape(lead + (n2, q))
+
+
+def combine_keyed(bit_llrs: np.ndarray, keys: np.ndarray, tables: FieldTables) -> np.ndarray:
+    """:func:`combine_repetitions` from prebuilt, unchecked keys; returns (symbols, 2^t) LLRs.
+
+    ``keys`` (..., r, n2) holds symbol*q + rho per t-bit group, symbols counted over all axes.
+    """
+    t, q = tables.t, tables.q
     lam = np.asarray(bit_llrs, dtype=np.float64).reshape(-1, t)
-    sums = np.empty((keys.size // r * q, t))
+    sums = np.empty((keys.size // keys.shape[-2] * q, t))
     for b in range(t):
         sums[:, b] = np.bincount(keys.ravel(), weights=lam[:, b], minlength=len(sums))
-    out = sums.reshape(-1, q * t) @ _repetition_bit_table(t, tables.primitive_poly)
-    return out.reshape(lead + (n2, q))
+    return sums.reshape(-1, q * t) @ _repetition_bit_table(t, tables.primitive_poly)
 
 
 def stage2_plus(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
@@ -121,15 +126,17 @@ def stage2_minus(s_plus: np.ndarray, s_minus: np.ndarray,
     """Variable-node update for the second input, given the decided first.
 
     out[s] = s_plus[u0^s] + s_minus[s] - s_plus[u0] - s_minus[0];
-    entry 0 is exactly zero.
+    entry 0 is exactly zero.  A scalar u0 = 0 (a frozen first input) needs no gather.
     """
     s_plus = np.asarray(s_plus, dtype=np.float64)
     s_minus = np.asarray(s_minus, dtype=np.float64)
     q = s_plus.shape[-1]
-    # One flat take of s_plus[..., u0 ^ s]: each row's offset plus u0 ^ s within the row.
-    # shifted[..., 0] is s_plus[u0 ^ 0] = s_plus[u0].
-    rows = q * np.arange(s_plus.size // q).reshape(s_plus.shape[:-1] + (1,))
-    shifted = np.take(s_plus, rows + (np.asarray(u0, dtype=np.int64)[..., None] ^ np.arange(q)))
+    shifted = s_plus
+    if np.ndim(u0) or u0:
+        # One flat take of s_plus[..., u0 ^ s]: each row's offset plus u0 ^ s within the row.
+        # shifted[..., 0] is s_plus[u0 ^ 0] = s_plus[u0].
+        rows = q * np.arange(s_plus.size // q).reshape(s_plus.shape[:-1] + (1,))
+        shifted = np.take(s_plus, rows + (np.asarray(u0, dtype=np.int64)[..., None] ^ np.arange(q)))
     return shifted + s_minus - shifted[..., :1] - s_minus[..., :1]
 
 
@@ -319,7 +326,7 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
     # inputs, the right half the second one alone.
     left_frozen = state.leaf_frozen[first:first + half].all()
     if left_frozen:
-        x_left = np.zeros(s.shape[:2] + (half,), dtype=np.int8)
+        x_left = 0   # the kernels take a scalar 0 for an all-zero first input
     else:
         epoch = len(state.origins)
         x_left = _span(state, plus(s[:, :, :half], s[:, :, half:]), plus, minus, leaf, rate0,
@@ -333,7 +340,7 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
     epoch = len(state.origins)
     x_right = _span(state, s_right, plus, minus, leaf, rate0, node, first + half)
     origin = state.origin_since(epoch)
-    if origin is not None:
+    if origin is not None and not left_frozen:
         x_left = _gather_paths(x_left, origin)
     return np.concatenate([x_left ^ x_right, x_right], axis=2)
 
@@ -410,7 +417,7 @@ def _f_bin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
 
 
-def _g_bin(a: np.ndarray, b: np.ndarray, u0: np.ndarray) -> np.ndarray:
+def _g_bin(a: np.ndarray, b: np.ndarray, u0: np.ndarray | int) -> np.ndarray:
     return b + (1.0 - 2.0 * u0) * a
 
 

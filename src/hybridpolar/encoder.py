@@ -223,6 +223,18 @@ def draw_coefficients(n_symbols: int, r: int, tables: FieldTables, rng) -> np.nd
     return rng.integers(1, tables.q, size=(r - 1, n_symbols), dtype=np.int64)
 
 
+def block_coefficients(coefficients: np.ndarray, r: int, n_symbols: int, q: int) -> np.ndarray:
+    """The multipliers of all r blocks (block 0's are 1) from checked (..., r-1, n_symbols) rho."""
+    if coefficients.shape[-2:] != (r - 1, n_symbols):
+        raise ValueError(f"coefficient array must have shape (..., {r - 1}, {n_symbols}), "
+                         f"got {coefficients.shape}")
+    if coefficients.size and not (coefficients.min() >= 1 and coefficients.max() < q):
+        raise ValueError("repetition coefficients must be nonzero field elements")
+    rho = np.empty(coefficients.shape[:-2] + (r, n_symbols), dtype=np.int64)   # C order
+    rho[..., 0, :], rho[..., 1:, :] = 1, coefficients
+    return rho
+
+
 def multiplicative_repeat(
     z: np.ndarray,
     r: int,
@@ -242,19 +254,10 @@ def multiplicative_repeat(
         if r > 1 and rng is None:
             raise ValueError("need an rng or explicit coefficients for r > 1")
         coefficients = draw_coefficients(z.shape[-1], r, tables, rng)
-    else:
-        coefficients = np.asarray(coefficients, dtype=np.int64)
-        if coefficients.shape[-2:] != (r - 1, z.shape[-1]):
-            raise ValueError(
-                f"coefficient array must have shape (..., {r - 1}, {z.shape[-1]}), "
-                f"got {coefficients.shape}"
-            )
-        if np.any(coefficients == 0) or np.any(coefficients >= tables.q):
-            raise ValueError("repetition coefficients must be nonzero field elements")
-    rest = tables.mul[coefficients, z[..., None, :]]                     # (..., r-1, n2)
-    blocks = np.empty(rest.shape[:-2] + (r, z.shape[-1]), dtype=np.int64)
-    blocks[..., 0, :], blocks[..., 1:, :] = z, rest
-    return Codeword(symbols=blocks.reshape(rest.shape[:-2] + (-1,)), coefficients=coefficients)
+    coefficients = np.asarray(coefficients, dtype=np.int64)
+    blocks = tables.mul[block_coefficients(coefficients, r, z.shape[-1], tables.q),
+                        z[..., None, :]]                                     # (..., r, n2)
+    return Codeword(symbols=blocks.reshape(blocks.shape[:-2] + (-1,)), coefficients=coefficients)
 
 
 def encode_hybrid(
@@ -267,29 +270,26 @@ def encode_hybrid(
     """Full hybrid chain: CRC, frozen insertion, both stages, repetition."""
     if spec.scheme != "hybrid":
         raise ValueError(f"spec scheme is {spec.scheme!r}, expected 'hybrid'")
-    z = encode_stage2(encode_stage1(message_u(info_bits, spec), spec.t, spec.encoder_variant))
-    return multiplicative_repeat(z, spec.r, tables, rng=rng, coefficients=coefficients)
+    return multiplicative_repeat(encode_u_vector(message_u(info_bits, spec), spec), spec.r, tables,
+                                 rng=rng, coefficients=coefficients)
 
 
 def encode_baseline(info_bits: np.ndarray, spec: "CodeSpec") -> Codeword:
     """Binary polar codeword repeated r times verbatim."""
     if spec.scheme != "polar_repetition":
         raise ValueError(f"spec scheme is {spec.scheme!r}, expected 'polar_repetition'")
-    return Codeword(symbols=encode_u_vector(message_u(info_bits, spec), spec, None))
+    return Codeword(symbols=np.tile(encode_u_vector(message_u(info_bits, spec), spec), spec.r))
 
 
-def encode_u_vector(u: np.ndarray, spec: "CodeSpec", tables: FieldTables | None,
-                    coefficients: np.ndarray | None = None) -> np.ndarray:
-    """Outer+inner transform of (..., n) u vectors (no CRC, no frozen checks).
+def encode_u_vector(u: np.ndarray, spec: "CodeSpec") -> np.ndarray:
+    """Outer transform of (..., n) u vectors (no CRC, no frozen checks).
 
-    Returns the (..., N/t) symbol streams; hybrid coefficients are
-    (..., r-1, n/t).  This is the encoder of the frame pipeline
-    (:func:`hybridpolar.channel.transmit_frames`).
+    Returns the (..., n/t) Stage-2 symbols, or the baseline's (..., n) bits; the callers
+    repeat them (:func:`hybridpolar.channel.transmit_frames` by a sample table lookup).
     """
     if spec.scheme == "polar_repetition":
-        return np.tile(polar_transform(np.asarray(u, dtype=np.int8)), spec.r)
-    z = encode_stage2(encode_stage1(u, spec.t, spec.encoder_variant))
-    return multiplicative_repeat(z, spec.r, tables, coefficients=coefficients).symbols
+        return polar_transform(np.asarray(u, dtype=np.int8))
+    return encode_stage2(encode_stage1(u, spec.t, spec.encoder_variant))
 
 
 def format_codeword_dump(codeword: Codeword, tables: FieldTables) -> str:

@@ -112,7 +112,7 @@ def family_inputs(index: int) -> dict:
             decode.append(_received(spec, tables, cw.symbols, None, rng))
         u = rng.integers(0, 2, size=spec.n, dtype=np.int8)
         coeffs = enc.draw_coefficients(n2, spec.r, tables, rng) if scheme == "hybrid" else None
-        symbols = enc.encode_u_vector(u, spec, tables, coefficients=coeffs)
+        symbols = oracles.channel_stream(u, spec, tables, coeffs)
         genie.append(_received(spec, tables, symbols, coeffs, rng))
         genie_u.append(u)
     return {"decode": np.stack(decode), "genie": np.stack(genie),

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from hybridpolar.encoder import encode_u_vector
+from hybridpolar.encoder import encode_u_vector, multiplicative_repeat
 from hybridpolar.galois import unpack_symbol_array
 
 
@@ -406,9 +406,17 @@ def span_top_list(s, pm, list_size: int, t: int, variant: str):
 
 # --- Exhaustive weight enumeration, one codeword at a time --------------------
 
+def channel_stream(u, spec, tables, coefficients=None) -> np.ndarray:
+    """The (..., N/t) channel symbols of (..., n) u vectors: the outer codeword, repeated r times."""
+    outer = encode_u_vector(u, spec)
+    if spec.scheme == "polar_repetition":
+        return np.tile(outer, spec.r)
+    return multiplicative_repeat(outer, spec.r, tables, coefficients=coefficients).symbols
+
+
 def codeword_weight(u, spec, tables, coefficients) -> int:
     """Channel-bit weight of the codeword of one u vector."""
-    symbols = encode_u_vector(u, spec, tables, coefficients=coefficients)
+    symbols = channel_stream(u, spec, tables, coefficients)
     return int(unpack_symbol_array(symbols, spec.t if spec.scheme == "hybrid" else 1).sum())
 
 

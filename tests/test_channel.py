@@ -1,15 +1,20 @@
+import importlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hybridpolar import encoder
+from hybridpolar import channel, decoder, encoder
 from hybridpolar.channel import (ChannelConfig, bpsk_modulate, initial_llrs, pinned_coefficients,
                                  seeded_rng, transmit, transmit_frames)
 from hybridpolar.codespec import CodeSpec, default_frozen_set
 from hybridpolar.decoder import combine_repetitions
 from hybridpolar.galois import build_field, unpack_symbol_array
+from test_perfbench_layers import load_layers
 
 
 def test_bpsk_zero_symbol_all_plus_one():
@@ -220,7 +225,7 @@ def frame_by_frame(spec, cfg, u, rngs, pinned):
         if hybrid:
             rho = pinned if pinned is not None else encoder.draw_coefficients(
                 spec.n // spec.t, spec.r, tables, rng)
-        symbols = encoder.encode_u_vector(u_row, spec, tables, rho)
+        symbols = oracles.channel_stream(u_row, spec, tables, rho)
         y, h = transmit(bpsk_modulate(symbols, spec.t if hybrid else 1), cfg, rng)
         llrs = initial_llrs(y, h, cfg.sigma2)
         rows.append(combine_repetitions(llrs, rho, tables) if hybrid else llrs)
@@ -234,23 +239,186 @@ def frame_by_frame(spec, cfg, u, rngs, pinned):
                                             ("hybrid", 4, False), ("hybrid", 4, True)])
 def test_transmit_frames_equals_the_single_frame_chain(kind, blocks, scheme, t, pin):
     # Bit for bit, whatever the batch: one call, two calls on a split batch, and the
-    # public per-frame functions stacked.
+    # public per-frame functions stacked; for one frame, two frames, and more frames
+    # than the helper thread's ring of noise buffers holds.
     spec = CodeSpec(scheme=scheme, n=32, k=16, t=t, r=4, p=0, crc_poly=0,
                     frozen_set=default_frozen_set(32, 16, 0), design_snr=1.0)
     cfg = ChannelConfig(kind, ebn0_db=-1.0, rate=spec.rate, fading_blocks=blocks)
     pinned = pinned_coefficients(spec, 5) if pin else None
+    for frames in (1, 2, 2 * channel._RING + 1):
+        u, rngs = frame_generators(spec, frames)
+        whole = transmit_frames(spec, cfg, u, rngs, pinned)
+        u, rngs = frame_generators(spec, frames)
+        cut = (frames + 1) // 2
+        split = [transmit_frames(spec, cfg, u[:cut], rngs[:cut], pinned)]
+        if cut < frames:
+            split.append(transmit_frames(spec, cfg, u[cut:], rngs[cut:], pinned))
+        u, rngs = frame_generators(spec, frames)
+        reference = frame_by_frame(spec, cfg, u, rngs, pinned)
+        shape = (frames, spec.n // t, 1 << t) if scheme == "hybrid" else (frames, spec.N)
+        assert whole.shape == shape
+        assert whole.tobytes() == np.concatenate(split).tobytes() == reference.tobytes()
 
-    def generators():
-        """The u vectors and the frame generators past their u draw, as a simulation has them."""
-        rngs = [seeded_rng(5, 0, j) for j in range(5)]
-        return np.stack([rng.integers(0, 2, size=spec.n, dtype=np.int8) for rng in rngs]), rngs
 
-    u, rngs = generators()
-    whole = transmit_frames(spec, cfg, u, rngs, pinned)
-    u, rngs = generators()
-    split = np.concatenate([transmit_frames(spec, cfg, u[:2], rngs[:2], pinned),
-                            transmit_frames(spec, cfg, u[2:], rngs[2:], pinned)])
-    u, rngs = generators()
-    reference = frame_by_frame(spec, cfg, u, rngs, pinned)
-    assert whole.shape == ((5, spec.n // t, 1 << t) if scheme == "hybrid" else (5, spec.N))
-    assert whole.tobytes() == split.tobytes() == reference.tobytes()
+def frame_generators(spec, frames):
+    """The u vectors and the frame generators past their u draw, as a simulation has them."""
+    rngs = [seeded_rng(5, 0, j) for j in range(frames)]
+    return np.stack([rng.integers(0, 2, size=spec.n, dtype=np.int8) for rng in rngs]), rngs
+
+
+class FailingNoise:
+    """A frame generator whose noise draw raises."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, out):
+        raise RuntimeError("noise draw failed")
+
+
+PIPELINE_SPECS = [("polar_repetition", 1, "rayleigh_block"), ("hybrid", 2, "awgn"),
+                  ("hybrid", 4, "rayleigh_block")]
+
+
+def pipeline_case(scheme, t, kind):
+    spec = CodeSpec(scheme=scheme, n=32, k=16, t=t, r=4, p=0, crc_poly=0,
+                    frozen_set=default_frozen_set(32, 16, 0), design_snr=1.0)
+    return spec, ChannelConfig(kind, ebn0_db=-1.0, rate=spec.rate, fading_blocks=4)
+
+
+def bounded_call(fn, *args, timeout=60.0):
+    """Run fn(*args) on a thread that must finish within ``timeout``; returns (result, error)."""
+    done = {}
+
+    def target():
+        try:
+            done["result"] = fn(*args)
+        except Exception as exc:
+            done["error"] = exc
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "transmit_frames did not return"
+    return done.get("result"), done.get("error")
+
+
+@pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
+def test_transmit_frames_raises_a_helper_error_and_ends_the_helper(scheme, t, kind):
+    # The helper thread's draw fails at frame 3 of 2 * ring + 1: the call raises that error,
+    # no thread is left behind, and the next call gives the same output as before.
+    spec, cfg = pipeline_case(scheme, t, kind)
+    frames = 2 * channel._RING + 1
+    u, rngs = frame_generators(spec, frames)
+    expected = transmit_frames(spec, cfg, u, rngs)
+    threads = threading.active_count()
+    u, rngs = frame_generators(spec, frames)
+    rngs[3] = FailingNoise(rngs[3])
+    _, error = bounded_call(transmit_frames, spec, cfg, u, rngs)
+    assert isinstance(error, RuntimeError) and str(error) == "noise draw failed"
+    assert threading.active_count() == threads
+    u, rngs = frame_generators(spec, frames)
+    assert transmit_frames(spec, cfg, u, rngs).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
+def test_transmit_frames_raises_a_calling_thread_error_and_ends_the_helper(
+        scheme, t, kind, monkeypatch):
+    # The calling thread's work on frame 3 fails (the hybrid combine, or the baseline's
+    # signal add) while the helper still holds frames to draw: the call raises, and no
+    # thread is left behind.
+    spec, cfg = pipeline_case(scheme, t, kind)
+    frames = 2 * channel._RING + 1
+    name = "combine_keyed" if scheme == "hybrid" else "_receive"
+    module = decoder if scheme == "hybrid" else channel
+    original, calls = getattr(module, name), []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("frame 3 failed")
+        return original(*args)
+
+    monkeypatch.setattr(module, name, failing)
+    threads = threading.active_count()
+    u, rngs = frame_generators(spec, frames)
+    _, error = bounded_call(transmit_frames, spec, cfg, u, rngs)
+    assert isinstance(error, RuntimeError) and str(error) == "frame 3 failed"
+    assert len(calls) == 4
+    assert threading.active_count() == threads
+
+
+def test_transmit_frames_is_exact_under_fast_thread_switching():
+    # More callers than cores, each with its own helper thread, and a thread switch every
+    # microsecond: every call still gives the single-frame chain's bytes.
+    spec, cfg = pipeline_case("hybrid", 2, "rayleigh_block")
+    frames = 4 * channel._RING + 3
+    u, rngs = frame_generators(spec, frames)
+    reference = frame_by_frame(spec, cfg, u, rngs, None)
+    calls = [frame_generators(spec, frames) for _ in range(4)]
+    results = [None] * len(calls)
+
+    def run(i):
+        results[i] = transmit_frames(spec, cfg, *calls[i])
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert all(out is not None and out.tobytes() == reference.tobytes() for out in results)
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+def test_repeat_sample_table_is_bpsk_of_the_products(t):
+    # Row rho*q + c of the pipeline's table holds the samples of rho * c, which is c * rho.
+    gf = build_field(t)
+    q = gf.q
+    table = channel._bpsk_table(t, gf.primitive_poly)
+    assert not table.flags.writeable
+    products = table.reshape(q, q, t)
+    assert np.array_equal(products, bpsk_modulate(gf.mul[..., None], t))
+    assert np.array_equal(products, products.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
+@pytest.mark.parametrize("pin", [False, True])
+def test_traced_layers_run_on_the_calling_thread(scheme, t, kind, pin, monkeypatch):
+    # The benchmark's tracer keeps one span stack, so every function it wraps must run on
+    # the thread that calls transmit_frames; only the draws move to the helper thread.
+    modules = [importlib.import_module(f"hybridpolar.{name}") for name in
+               ("analysis", "channel", "cli", "codespec", "decoder", "encoder", "galois")]
+    seen = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for layer in (*load_layers(), "channel._draw"):
+        home, attr = layer.split(".")
+        original = getattr(importlib.import_module(f"hybridpolar.{home}"), attr)
+        wrapped = recording(layer, original)
+        for module in modules:
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapped)
+    spec, cfg = pipeline_case(scheme, t, kind)
+    pinned = pinned_coefficients(spec, 5) if pin and scheme == "hybrid" else None
+    u, rngs = frame_generators(spec, 2 * channel._RING + 1)
+    seen.clear()
+    transmit_frames(spec, cfg, u, rngs, pinned)
+    caller = threading.get_ident()
+    draws = seen.pop("channel._draw")
+    assert "encoder.encode_u_vector" in seen
+    assert all(threads == {caller} for threads in seen.values()), seen
+    assert caller not in draws and len(draws) == 1

@@ -260,6 +260,20 @@ def test_stage2_minus_matches_take_along_axis(q):
     assert np.array_equal(stage2_minus(a, b, u), shifted + b - shifted[:, :1] - b[0])
 
 
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_stage2_minus_of_a_scalar_zero_is_the_all_zero_result(q):
+    # A frozen left child passes u0 = 0 instead of an all-zero array: no gather, same bytes.
+    # The binary kernel g takes the same scalar.
+    rng = np.random.default_rng(60 + q)
+    s = rng.normal(size=(3, 4, 10, q))
+    s_plus, s_minus = s[:, :, :5], s[:, :, 5:]
+    zeros = np.zeros((3, 4, 5), dtype=np.int8)
+    expected = stage2_minus(s_plus, s_minus, zeros)
+    assert stage2_minus(s_plus, s_minus, 0).tobytes() == expected.tobytes()
+    a, b = s[..., 0], s[..., 1]
+    assert _g_bin(a, b, 0).tobytes() == _g_bin(a, b, np.zeros(a.shape, dtype=np.int8)).tobytes()
+
+
 def test_stage2_vectorised_over_leading_axes():
     rng = np.random.default_rng(3)
     sp = rng.normal(size=(3, 5, 4))

@@ -239,6 +239,12 @@ def test_repeat_rejects_zero_coefficient():
                               coefficients=np.array([[0, 1]]))
 
 
+def test_repeat_rejects_a_negative_coefficient():
+    # A negative index would wrap to the last row of the multiplication table.
+    with pytest.raises(ValueError, match="nonzero field elements"):
+        multiplicative_repeat(np.array([1, 2]), 2, GF16, coefficients=np.array([[-1, 1]]))
+
+
 def test_repeat_rejects_bad_shape():
     with pytest.raises(ValueError):
         multiplicative_repeat(np.array([1, 2]), 3, GF16,

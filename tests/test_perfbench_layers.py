@@ -14,12 +14,18 @@ from pathlib import Path
 LAYERS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
-def test_traced_layers_resolve_to_callables():
+def load_layers() -> dict:
+    """``LAYERS`` of ``perfbench/layers.py``, loaded from its path."""
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PATH)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    assert layers.LAYERS
-    for name in layers.LAYERS:
+    return layers.LAYERS
+
+
+def test_traced_layers_resolve_to_callables():
+    layers = load_layers()
+    assert layers
+    for name in layers:
         module_name, attr = name.split(".")
         module = importlib.import_module(f"hybridpolar.{module_name}")
         assert callable(getattr(module, attr, None)), f"{name} is not a callable"
