@@ -7,8 +7,7 @@ encoding, and evaluates the truncated union bound both spectra imply.
 Run with:  python demos/05_weight_spectrum.py
 """
 
-from hybridpolar.analysis import (brute_force_weights, enumerate_low_weight,
-                                  pinned_coefficients, union_bound)
+from hybridpolar.analysis import brute_force_weights, enumerate_low_weight, union_bound
 from hybridpolar.codespec import CodeSpec, default_frozen_set
 
 hybrid = CodeSpec("hybrid", n=16, k=6, t=2, r=4, p=0, crc_poly=0,
@@ -16,10 +15,9 @@ hybrid = CodeSpec("hybrid", n=16, k=6, t=2, r=4, p=0, crc_poly=0,
 baseline = CodeSpec("polar_repetition", n=16, k=6, t=1, r=4, p=0, crc_poly=0,
                     frozen_set=default_frozen_set(16, 6, 0), design_snr=2.0)
 
-rho = pinned_coefficients(hybrid, seed=5)
-est = enumerate_low_weight(hybrid, list_size=1024, high_snr_db=40.0, seed=5,
-                           coefficients=rho)
-exact = brute_force_weights(hybrid, coefficients=rho)
+# Both weigh the hybrid code under the repetition multipliers pinned from seed 5.
+est = enumerate_low_weight(hybrid, list_size=1024, high_snr_db=40.0, seed=5)
+exact = brute_force_weights(hybrid, seed=5)
 
 print("hybrid GF(4), N = 64, k = 6, pinned multipliers")
 print(f"  list estimate : {dict(sorted(est.counts.items()))}")
@@ -28,7 +26,7 @@ print(f"  minimum weight {est.min_weight} with multiplicity "
       f"{est.counts[est.min_weight]} (exact match: "
       f"{est.counts == exact.counts})")
 
-base_exact = brute_force_weights(baseline)
+base_exact = brute_force_weights(baseline, seed=5)
 print("\nbaseline repetition, same length and payload")
 print(f"  exhaustive    : {dict(sorted(base_exact.counts.items()))}")
 print("  every weight is a multiple of r = 4: verbatim repetition scales")

@@ -18,8 +18,10 @@ Weight spectra are estimated by decoding an all-zero transmission at
 very high SNR with a large-list decoder, re-encoding every surviving
 path and recording nonzero codeword weights; the exhaustive encoder
 (:func:`brute_force_weights`) serves as ground truth on small codes.
-Weights are measured in modulated channel bits for both schemes, so
-the two spectra are directly comparable.
+Both take a seed and weigh a hybrid code under the repetition
+multipliers :func:`pinned_coefficients` draws from it, so the two agree
+for the same seed.  Weights are measured in modulated channel bits for
+both schemes, so the two spectra are directly comparable.
 """
 
 from __future__ import annotations
@@ -107,23 +109,22 @@ class WeightHistogram:
 
 # Messages brute force encodes per batch.
 _WEIGHT_CHUNK = 128
+# Largest k+p brute force enumerates: 2^20 messages.
+_EXHAUSTIVE_GUARD = 20
 
 
 def _codeword_weights(u_rows, spec: CodeSpec, tables, coefficients) -> np.ndarray:
     """Channel-bit weights of the codewords of (rows, n) u vectors.
 
-    ``coefficients`` is the (r-1, n/t) array every row shares, or None (r = 1, baseline).
+    ``coefficients`` is the pinned (r-1, n/t) array every row shares (None for the baseline).
     Only the outer code is encoded: outer symbol i of value v sends
     W[i, v] = popcount(v) + sum_j popcount(rho_{j,i} * v) bits over its r repeats.
     """
     if spec.scheme != "hybrid":
         return spec.r * _encoder.polar_transform(u_rows).sum(-1, dtype=np.int64)
     n2 = spec.n // spec.t
-    rho = np.zeros((0, n2), np.int64) if coefficients is None else np.asarray(coefficients)
-    if rho.shape != (spec.r - 1, n2) or not np.all((rho >= 1) & (rho < tables.q)):
-        raise ValueError(f"coefficients must be ({spec.r - 1}, {n2}) nonzero field elements")
     popcount = unpack_symbol_array(np.arange(tables.q), spec.t).sum(-1, dtype=np.int64)
-    table = popcount + popcount[tables.mul[rho]].sum(0)                    # W, (n2, q)
+    table = popcount + popcount[tables.mul[coefficients]].sum(0)           # W, (n2, q)
     z = _encoder.encode_stage2(_encoder.encode_stage1(u_rows, spec.t, spec.encoder_variant))
     return table[np.arange(n2), z].sum(-1)
 
@@ -134,21 +135,20 @@ def _add_weights(hist: WeightHistogram, weights: np.ndarray) -> None:
 
 
 def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
-                         seed: int,
-                         coefficients: np.ndarray | None = None) -> WeightHistogram:
+                         seed: int) -> WeightHistogram:
     """Estimate the low-weight spectrum from a large-list decode of zero.
 
     The all-zero codeword is transmitted at ``high_snr_db``; every path
     surviving the list decode (no CRC filtering) is weighed under the
-    pinned coefficients and its nonzero bit weight recorded.  No dedup
-    is needed: two paths differ at the bit where their lineages split,
-    and pruning only drops paths.  Only the outer code is re-encoded; a
-    per-symbol table gives each outer symbol's bits over its r repeats.
+    coefficients pinned from ``seed`` and its nonzero bit weight
+    recorded.  No dedup is needed: two paths differ at the bit where
+    their lineages split, and pruning only drops paths.  Only the outer
+    code is re-encoded; a per-symbol table gives each outer symbol's
+    bits over its r repeats.
     """
     tables = spec.field_tables()
     hybrid = spec.scheme == "hybrid"
-    if coefficients is None and hybrid:
-        coefficients = pinned_coefficients(spec, seed)
+    coefficients = pinned_coefficients(spec, seed) if hybrid else None
     cfg = _channel.ChannelConfig(kind="awgn", ebn0_db=high_snr_db, rate=spec.rate)
     channel_input = _channel.transmit_frames(spec, cfg, np.zeros((1, spec.n), dtype=np.int8),
                                              [_channel.seeded_rng(seed, 0)], coefficients)
@@ -161,21 +161,20 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
     return hist
 
 
-def brute_force_weights(spec: CodeSpec,
-                        coefficients: np.ndarray | None = None,
-                        guard: int = 20) -> WeightHistogram:
+def brute_force_weights(spec: CodeSpec, seed: int) -> WeightHistogram:
     """Exact weight enumerator over every nonzero unfrozen assignment.
 
-    All 2^{k+p} fillings of the unfrozen positions are encoded: this is
-    the code a list decoder without CRC filtering actually explores, so
-    it is the right ground truth for :func:`enumerate_low_weight`.
+    All 2^{k+p} fillings of the unfrozen positions are encoded under the
+    coefficients pinned from ``seed``: this is the code a list decoder
+    without CRC filtering actually explores, so it is the right ground
+    truth for :func:`enumerate_low_weight` at the same seed.
     """
     n_payload = spec.k + spec.p
-    if n_payload > guard:
-        raise ValueError(f"k+p = {n_payload} exceeds the exhaustive guard of {guard}")
+    if n_payload > _EXHAUSTIVE_GUARD:
+        raise ValueError(f"k+p = {n_payload} exceeds the exhaustive guard "
+                         f"of {_EXHAUSTIVE_GUARD}")
     tables = spec.field_tables()
-    if coefficients is None and spec.scheme == "hybrid" and spec.r > 1:
-        raise ValueError("hybrid brute force needs pinned coefficients")
+    coefficients = pinned_coefficients(spec, seed) if spec.scheme == "hybrid" else None
     hist = WeightHistogram()
     unfrozen = spec.unfrozen_indices()
     for start in range(1, 1 << n_payload, _WEIGHT_CHUNK):

@@ -92,22 +92,16 @@ CONFIG_KEYS = _REQUIRED_KEYS + tuple(_CONFIG_DEFAULTS)
 
 @dataclass(frozen=True)
 class SimConfig:
-    scheme: str
-    n: int
-    k: int
-    t: int
-    r: int
+    """A parsed config: the code it names, with a placeholder frozen set, and its run settings."""
+
+    code: CodeSpec
     list_size: int
-    crc_poly: int
-    crc_len: int
     channel: str
     fading_blocks: int
-    design_snr: float
     ebn0_list: tuple
     seed: int
     max_frames: int
     target_errors: int
-    encoder_variant: str
     pin_coefficients: bool
 
 
@@ -118,7 +112,12 @@ def parse_config(path) -> SimConfig:
             raise ValueError(f"config {path} is missing required key {key!r}")
     merged = dict(_CONFIG_DEFAULTS)
     merged.update(raw)
-    ebn0 = tuple(float(tok) for tok in merged["ebn0_list"].split(",") if tok.strip())
+
+    def number(key, kind=int):
+        return _codespec.parse_value(path, key, merged[key], kind)
+
+    ebn0 = tuple(_codespec.parse_value(path, "ebn0_list", tok, float)
+                 for tok in merged["ebn0_list"].split(",") if tok.strip())
     for value in ebn0:
         if not math.isfinite(value):
             raise ValueError(f"config {path}: ebn0_list entry {value} is not a finite Eb/N0")
@@ -126,52 +125,34 @@ def parse_config(path) -> SimConfig:
     if pin not in ("true", "false", "0", "1"):
         raise ValueError(f"pin_coefficients must be boolean, got {pin!r}")
     for key, low in (("max_frames", 1), ("target_errors", 0), ("list_size", 1), ("seed", 0)):
-        if int(merged[key], 0) < low:
+        if number(key) < low:
             raise ValueError(f"config {path}: {key} must be >= {low}, got {merged[key]}")
+    n, k, p = number("n"), number("k"), number("crc_len")
     cfg = SimConfig(
-        scheme=merged["scheme"],
-        n=int(merged["n"], 0),
-        k=int(merged["k"], 0),
-        t=int(merged["t"], 0),
-        r=int(merged["r"], 0),
-        list_size=int(merged["list_size"], 0),
-        crc_poly=int(merged["crc_poly"], 0),
-        crc_len=int(merged["crc_len"], 0),
+        code=CodeSpec(scheme=merged["scheme"], n=n, k=k, t=number("t"), r=number("r"), p=p,
+                      crc_poly=number("crc_poly"), frozen_set=default_frozen_set(n, k, p),
+                      design_snr=number("design_snr", float),
+                      encoder_variant=merged["encoder_variant"]),
+        list_size=number("list_size"),
         channel=merged["channel"],
-        fading_blocks=int(merged["fading_blocks"], 0),
-        design_snr=float(merged["design_snr"]),
+        fading_blocks=number("fading_blocks"),
         ebn0_list=ebn0,
-        seed=int(merged["seed"], 0),
-        max_frames=int(merged["max_frames"], 0),
-        target_errors=int(merged["target_errors"], 0),
-        encoder_variant=merged["encoder_variant"],
+        seed=number("seed"),
+        max_frames=number("max_frames"),
+        target_errors=number("target_errors"),
         pin_coefficients=pin in ("true", "1"),
     )
     _channel.check_channel_kind(cfg.channel, cfg.fading_blocks)
-    if cfg.channel == "rayleigh_block" and cfg.n * cfg.r % cfg.fading_blocks:
+    if cfg.channel == "rayleigh_block" and cfg.code.N % cfg.fading_blocks:
         raise ValueError(f"config {path}: fading_blocks = {cfg.fading_blocks} "
-                         f"does not divide N = {cfg.n * cfg.r}")
+                         f"does not divide N = {cfg.code.N}")
     return cfg
 
 
-def spec_from_config(cfg: SimConfig) -> CodeSpec:
-    """CodeSpec matching the config, with a placeholder frozen set."""
-    return CodeSpec(
-        scheme=cfg.scheme, n=cfg.n, k=cfg.k, t=cfg.t, r=cfg.r,
-        p=cfg.crc_len, crc_poly=cfg.crc_poly,
-        frozen_set=default_frozen_set(cfg.n, cfg.k, cfg.crc_len),
-        design_snr=cfg.design_snr, encoder_variant=cfg.encoder_variant,
-    )
-
-
 def check_config_matches_spec(cfg: SimConfig, spec: CodeSpec) -> None:
-    pairs = [
-        ("scheme", cfg.scheme, spec.scheme), ("n", cfg.n, spec.n),
-        ("k", cfg.k, spec.k), ("t", cfg.t, spec.t), ("r", cfg.r, spec.r),
-        ("crc_len", cfg.crc_len, spec.p), ("crc_poly", cfg.crc_poly, spec.crc_poly),
-        ("encoder_variant", cfg.encoder_variant, spec.encoder_variant),
-    ]
-    for name, a, b in pairs:
+    """Require the spec to agree with the config on every code field a config sets."""
+    for name in ("scheme", "n", "k", "t", "r", "p", "crc_poly", "encoder_variant"):
+        a, b = getattr(cfg.code, name), getattr(spec, name)
         if a != b:
             raise ValueError(f"spec/config mismatch on {name}: config {a!r} vs spec {b!r}")
 
@@ -249,12 +230,11 @@ def records_to_csv(records) -> str:
 
 def cmd_construct(args) -> int:
     cfg = parse_config(args.config)
-    params = spec_from_config(cfg)
     # Refuse what simulate would stop on (list size, Eb/N0) before any trial runs.
-    _decoder.frame_path_entries(params, cfg.list_size)
+    _decoder.frame_path_entries(cfg.code, cfg.list_size)
     for ebn0 in cfg.ebn0_list:
-        _channel.ChannelConfig(cfg.channel, ebn0, params.rate, cfg.fading_blocks)
-    spec = _codespec.construct_code(params, trials=args.trials, seed=cfg.seed)
+        _channel.ChannelConfig(cfg.channel, ebn0, cfg.code.rate, cfg.fading_blocks)
+    spec = _codespec.construct_code(cfg.code, trials=args.trials, seed=cfg.seed)
     save_spec(spec, args.output)
     print(f"wrote {args.output} (|F| = {len(spec.frozen_set)})")
     return 0

@@ -2,14 +2,16 @@
 
 A :class:`CodeSpec` is the full persisted identity of one code: which
 scheme, the block lengths, the frozen set, the CRC, the design SNR and
-the encoder variant.  The frozen set is found by Monte-Carlo ranking:
-random messages are pushed through the complete encoding chain,
-transmitted over AWGN at the design SNR, and decoded by a genie-aided
-successive cancellation pass in which every decision is corrected to
-the truth right after its LLR is formed.  The first wrong decision of
-each trial increments that bit position's error counter, and the
-n-k-p positions with the highest counts are frozen (ties freeze the
-lower index first).
+the encoder variant.  Spec files (:func:`load_spec`) and ``hybridpolar``
+configs both build one, read their numbers with :func:`parse_value` and
+leave every check to :meth:`CodeSpec.validate`.  The frozen set is found
+by Monte-Carlo ranking: random messages are pushed through the complete
+encoding chain, transmitted over AWGN at the design SNR, and decoded by
+a genie-aided successive cancellation pass in which every decision is
+corrected to the truth right after its LLR is formed.  The first wrong
+decision of each trial increments that bit position's error counter,
+and the n-k-p positions with the highest counts are frozen (ties freeze
+the lower index first).
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ ENCODER_VARIANTS = ("flat", "recursive")
 
 DEFAULT_CONSTRUCTION_TRIALS = 100_000
 
+# Construction trials encoded and decoded per batch; the counts do not depend on it.
+_TRIAL_BATCH = 512
+
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -36,7 +41,8 @@ class CodeSpec:
     ``frozen_set`` lives in the outer input vector u_0^{n-1} and has
     exactly n - k - p elements; the unfrozen positions carry the k
     information bits followed by the p CRC bits in ascending index
-    order.  The reported rate k/N counts information bits only.
+    order.  The reported rate k/N counts information bits only, and the
+    channel block length N = n * r is derived, not stored.
     """
 
     scheme: str
@@ -50,13 +56,10 @@ class CodeSpec:
     design_snr: float
     primitive_poly: int = 0
     encoder_variant: str = "flat"
-    N: int = 0
 
     def __post_init__(self):
         if self.primitive_poly == 0 and self.t in DEFAULT_PRIMITIVE_POLY:
             object.__setattr__(self, "primitive_poly", DEFAULT_PRIMITIVE_POLY[self.t])
-        if self.N == 0:
-            object.__setattr__(self, "N", self.n * self.r)
         object.__setattr__(self, "frozen_set", tuple(sorted(int(i) for i in self.frozen_set)))
         self.validate()
 
@@ -74,15 +77,11 @@ class CodeSpec:
             fail("t", f"n/t must be a power of two (n={self.n}, t={self.t})")
         if self.r < 1:
             fail("r", "needs at least one repetition")
-        if self.N != self.n * self.r:
-            fail("N", f"{self.N} != n*r = {self.n * self.r}")
         for name in ("k", "p", "crc_poly"):
             if getattr(self, name) < 0:
                 fail(name, f"{getattr(self, name)} is negative")
         if self.k + self.p > self.n:
             fail("k", f"k+p = {self.k + self.p} exceeds n = {self.n}")
-        if self.k > self.N:
-            fail("k", "rate k/N exceeds 1")
         if self.p > 0 and self.crc_poly.bit_length() != self.p + 1:
             fail("crc_poly", f"0x{self.crc_poly:x} does not have degree {self.p}")
         if len(self.frozen_set) != self.n - self.k - self.p:
@@ -96,6 +95,10 @@ class CodeSpec:
             fail("encoder_variant", f"must be one of {ENCODER_VARIANTS}")
         if self.primitive_poly.bit_length() != self.t + 1:
             fail("primitive_poly", f"0x{self.primitive_poly:x} does not have degree {self.t}")
+
+    @property
+    def N(self) -> int:
+        return self.n * self.r
 
     @property
     def rate(self) -> float:
@@ -115,16 +118,15 @@ class CodeSpec:
 
 
 def default_frozen_set(n: int, k: int, p: int) -> tuple:
-    """Placeholder frozen set: the lowest n-k-p indices."""
-    return tuple(range(n - k - p))
+    """Placeholder frozen set: the lowest n-k-p indices, at most n (validate refuses k, p < 0)."""
+    return tuple(range(min(n, n - k - p)))
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo construction
 # ---------------------------------------------------------------------------
 
-def first_error_counts(params: CodeSpec, trials: int, seed: int,
-                       batch: int = 512) -> np.ndarray:
+def first_error_counts(params: CodeSpec, trials: int, seed: int) -> np.ndarray:
     """Per-position first-error counters from genie-aided SC trials.
 
     Each trial encodes a fully random u through the complete chain,
@@ -145,7 +147,7 @@ def first_error_counts(params: CodeSpec, trials: int, seed: int,
     counts = np.zeros(params.n, dtype=np.int64)
     done = 0
     while done < trials:
-        m = min(batch, trials - done)
+        m = min(_TRIAL_BATCH, trials - done)
         rngs = [_channel.seeded_rng(seed, 0, done + j) for j in range(m)]
         u = np.stack([rng.integers(0, 2, size=params.n, dtype=np.int8) for rng in rngs])
         channel_input = _channel.transmit_frames(params, cfg, u, rngs, pinned)
@@ -156,8 +158,7 @@ def first_error_counts(params: CodeSpec, trials: int, seed: int,
     return counts
 
 
-def monte_carlo_construct(params: CodeSpec, trials: int, seed: int,
-                          batch: int = 512) -> tuple:
+def monte_carlo_construct(params: CodeSpec, trials: int, seed: int) -> tuple:
     """Rank bit channels at the design SNR and return the frozen set.
 
     ``params.frozen_set`` is ignored during the ranking.  The n-k-p
@@ -167,7 +168,7 @@ def monte_carlo_construct(params: CodeSpec, trials: int, seed: int,
     n_frozen = params.n - params.k - params.p
     if n_frozen == 0:
         return ()
-    counts = first_error_counts(params, trials, seed, batch=batch)
+    counts = first_error_counts(params, trials, seed)
     order = np.lexsort((np.arange(params.n), -counts))
     return tuple(sorted(int(i) for i in order[:n_frozen]))
 
@@ -232,34 +233,42 @@ def read_key_values(path, allowed, kind: str) -> dict:
     return fields
 
 
+def parse_value(path, key: str, text: str, kind: type = int):
+    """Read ``text``, the value of ``key`` in the file ``path``, as an int or a float.
+
+    Integers take any base a Python literal can (``0x43``).  A value that
+    does not parse raises ValueError naming the file and the key.
+    """
+    try:
+        return int(text, 0) if kind is int else kind(text)
+    except ValueError:
+        raise ValueError(f"{path}: {key} = {text!r} is not a valid {kind.__name__}") from None
+
+
 def load_spec(path) -> CodeSpec:
-    """Parse a saved spec, re-validating every invariant."""
+    """Parse a saved spec, re-validating every invariant; an optional ``N`` line must be n*r."""
     fields = read_key_values(path, SPEC_KEYS, "spec")
     missing = set(SPEC_KEYS) - {"N"} - fields.keys()
     if missing:
         raise ValueError(f"spec file missing fields: {sorted(missing)}")
-    try:
-        frozen = tuple(int(tok) for tok in fields["frozen_set"].split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValueError(f"invalid CodeSpec field 'frozen_set': {exc}") from None
 
-    def parse_int(name):
-        try:
-            return int(fields[name], 0)
-        except ValueError:
-            raise ValueError(f"invalid CodeSpec field {name!r}: not an integer") from None
+    def number(name, kind=int):
+        return parse_value(path, name, fields[name], kind)
 
-    return CodeSpec(
+    spec = CodeSpec(
         scheme=fields["scheme"],
-        n=parse_int("n"),
-        k=parse_int("k"),
-        t=parse_int("t"),
-        r=parse_int("r"),
-        p=parse_int("p"),
-        crc_poly=parse_int("crc_poly"),
-        frozen_set=frozen,
-        design_snr=float(fields["design_snr"]),
-        primitive_poly=parse_int("primitive_poly"),
+        n=number("n"),
+        k=number("k"),
+        t=number("t"),
+        r=number("r"),
+        p=number("p"),
+        crc_poly=number("crc_poly"),
+        frozen_set=tuple(parse_value(path, "frozen_set", tok)
+                         for tok in fields["frozen_set"].split(",") if tok.strip()),
+        design_snr=number("design_snr", float),
+        primitive_poly=number("primitive_poly"),
         encoder_variant=fields["encoder_variant"],
-        N=parse_int("N") if "N" in fields else 0,
     )
+    if "N" in fields and number("N") != spec.N:
+        raise ValueError(f"invalid CodeSpec field 'N': {fields['N']} != n*r = {spec.N}")
+    return spec

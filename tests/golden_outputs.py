@@ -52,8 +52,8 @@ SIMULATE_CASES = {
 
 # name -> (scheme, t, first_error_counts keyword arguments)
 CONSTRUCTION_CASES = {
-    "hybrid_t2": ("hybrid", 2, dict(trials=600, seed=21, batch=256)),
-    "baseline": ("polar_repetition", 1, dict(trials=600, seed=22, batch=256)),
+    "hybrid_t2": ("hybrid", 2, dict(trials=600, seed=21)),
+    "baseline": ("polar_repetition", 1, dict(trials=600, seed=22)),
 }
 
 # name -> (spec keyword arguments, enumerate_low_weight keyword arguments)

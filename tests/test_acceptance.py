@@ -15,8 +15,7 @@ from hybridpolar import cli
 from hybridpolar import channel as ch
 from hybridpolar import decoder as dec
 from hybridpolar import encoder as enc
-from hybridpolar.analysis import (brute_force_weights, enumerate_low_weight,
-                                  pinned_coefficients)
+from hybridpolar.analysis import brute_force_weights, enumerate_low_weight
 from hybridpolar.codespec import (CodeSpec, construct_code, default_frozen_set,
                                   load_spec, monte_carlo_construct)
 from hybridpolar.galois import build_field
@@ -184,10 +183,8 @@ def test_criterion_6_weight_spectrum_oracle():
     t0 = time.perf_counter()
     spec = CodeSpec("hybrid", n=16, k=6, t=2, r=4, p=0, crc_poly=0,
                     frozen_set=default_frozen_set(16, 6, 0), design_snr=2.0)
-    rho = pinned_coefficients(spec, seed=42)
-    exact = brute_force_weights(spec, coefficients=rho)
-    est = enumerate_low_weight(spec, list_size=1024, high_snr_db=40.0,
-                               seed=42, coefficients=rho)
+    exact = brute_force_weights(spec, seed=42)
+    est = enumerate_low_weight(spec, list_size=1024, high_snr_db=40.0, seed=42)
     assert est.min_weight == exact.min_weight
     assert est.counts[est.min_weight] == exact.counts[exact.min_weight]
     assert time.perf_counter() - t0 < 60.0

@@ -59,14 +59,13 @@ def small_hybrid_spec():
 def test_brute_force_empty_for_k0():
     spec = CodeSpec(scheme="hybrid", n=16, k=0, t=2, r=1, p=0, crc_poly=0,
                     frozen_set=default_frozen_set(16, 0, 0), design_snr=2.0)
-    hist = brute_force_weights(spec)
+    hist = brute_force_weights(spec, seed=0)
     assert hist.counts == {}
 
 
 def test_brute_force_total_counts_all_nonzero_messages():
     spec = small_hybrid_spec()
-    rho = pinned_coefficients(spec, seed=0)
-    hist = brute_force_weights(spec, coefficients=rho)
+    hist = brute_force_weights(spec, seed=0)
     assert hist.total() == 2 ** 6 - 1
     assert 0 not in hist.counts
 
@@ -76,14 +75,14 @@ def test_brute_force_guard():
                     crc_poly=0, frozen_set=default_frozen_set(4096, 30, 0),
                     design_snr=2.0)
     with pytest.raises(ValueError):
-        brute_force_weights(spec)
+        brute_force_weights(spec, seed=0)
 
 
 def test_baseline_weights_are_multiples_of_r():
     spec = CodeSpec(scheme="polar_repetition", n=16, k=6, t=1, r=4, p=0,
                     crc_poly=0, frozen_set=default_frozen_set(16, 6, 0),
                     design_snr=2.0)
-    hist = brute_force_weights(spec)
+    hist = brute_force_weights(spec, seed=0)
     assert all(w % 4 == 0 for w in hist.counts)
 
 
@@ -92,16 +91,14 @@ def test_single_all_ones_row_codeword():
     # weight N: the all-ones row repeated r times.
     spec = CodeSpec(scheme="polar_repetition", n=16, k=1, t=1, r=3, p=0,
                     crc_poly=0, frozen_set=tuple(range(15)), design_snr=2.0)
-    hist = brute_force_weights(spec)
+    hist = brute_force_weights(spec, seed=0)
     assert hist.counts == {48: 1}
 
 
 def test_enumeration_matches_brute_force_minimum():
     spec = small_hybrid_spec()
-    rho = pinned_coefficients(spec, seed=7)
-    exact = brute_force_weights(spec, coefficients=rho)
-    est = enumerate_low_weight(spec, list_size=1024, high_snr_db=40.0, seed=7,
-                               coefficients=rho)
+    exact = brute_force_weights(spec, seed=7)
+    est = enumerate_low_weight(spec, list_size=1024, high_snr_db=40.0, seed=7)
     assert est.min_weight == exact.min_weight
     assert est.counts[est.min_weight] == exact.counts[exact.min_weight]
     # with L covering the whole message space the spectra agree entirely
@@ -110,10 +107,8 @@ def test_enumeration_matches_brute_force_minimum():
 
 def test_enumeration_subset_of_brute_force():
     spec = small_hybrid_spec()
-    rho = pinned_coefficients(spec, seed=3)
-    exact = brute_force_weights(spec, coefficients=rho)
-    est = enumerate_low_weight(spec, list_size=16, high_snr_db=40.0, seed=3,
-                               coefficients=rho)
+    exact = brute_force_weights(spec, seed=3)
+    est = enumerate_low_weight(spec, list_size=16, high_snr_db=40.0, seed=3)
     for w, count in est.counts.items():
         assert count <= exact.counts.get(w, 0)
 
@@ -122,7 +117,7 @@ def test_enumeration_baseline_scheme():
     spec = CodeSpec(scheme="polar_repetition", n=16, k=5, t=1, r=2, p=0,
                     crc_poly=0, frozen_set=default_frozen_set(16, 5, 0),
                     design_snr=2.0)
-    exact = brute_force_weights(spec)
+    exact = brute_force_weights(spec, seed=1)
     est = enumerate_low_weight(spec, list_size=64, high_snr_db=40.0, seed=1)
     assert est.counts == exact.counts
 
@@ -137,24 +132,9 @@ def test_codeword_weights_match_per_row_oracle(scheme, t, r, rows):
     tables = spec.field_tables()
     u = np.random.default_rng(rows + 10 * r + 100 * t).integers(0, 2, size=(rows, 32),
                                                                 dtype=np.int8)
-    choices = [pinned_coefficients(spec, 5)] if scheme == "hybrid" else []
-    if scheme != "hybrid" or r == 1:
-        choices.append(None)
-    for rho in choices:
-        expected = [oracles.codeword_weight(row, spec, tables, rho) for row in u]
-        assert _codeword_weights(u, spec, tables, rho).tolist() == expected
-
-
-def test_codeword_weights_reject_bad_coefficients():
-    spec = CodeSpec(scheme="hybrid", n=16, k=8, t=2, r=3, p=0, crc_poly=0,
-                    frozen_set=default_frozen_set(16, 8, 0), design_snr=2.0)
-    u = np.ones((2, 16), dtype=np.int8)
-    rho = pinned_coefficients(spec, 1)
-    zero = rho.copy()
-    zero[1, 3] = 0
-    for bad in (None, zero, rho[:1], rho[:, :4], rho + spec.field_tables().q):
-        with pytest.raises(ValueError, match="nonzero field elements"):
-            _codeword_weights(u, spec, spec.field_tables(), bad)
+    rho = pinned_coefficients(spec, 5) if scheme == "hybrid" else None
+    expected = [oracles.codeword_weight(row, spec, tables, rho) for row in u]
+    assert _codeword_weights(u, spec, tables, rho).tolist() == expected
 
 
 @pytest.mark.parametrize("scheme,t,r", [("hybrid", 2, 4), ("hybrid", 4, 3),
@@ -164,13 +144,8 @@ def test_brute_force_matches_per_codeword_loop(scheme, t, r):
     spec = CodeSpec(scheme=scheme, n=16, k=8, t=t, r=r, p=0, crc_poly=0,
                     frozen_set=default_frozen_set(16, 8, 0), design_snr=2.0)
     rho = pinned_coefficients(spec, 2) if scheme == "hybrid" else None
-    assert brute_force_weights(spec, coefficients=rho).counts == \
+    assert brute_force_weights(spec, seed=2).counts == \
         oracles.brute_force_weight_counts(spec, rho)
-
-
-def test_brute_force_hybrid_needs_coefficients():
-    with pytest.raises(ValueError, match="pinned coefficients"):
-        brute_force_weights(small_hybrid_spec())
 
 
 def test_histogram_rejects_zero_weight():
@@ -200,7 +175,7 @@ def test_union_bound_single_codeword():
 
 def test_union_bound_monotone_in_snr():
     spec = small_hybrid_spec()
-    hist = brute_force_weights(spec, coefficients=pinned_coefficients(spec, 0))
+    hist = brute_force_weights(spec, seed=0)
     values = [union_bound(hist, spec.rate, db) for db in np.linspace(-5, 10, 31)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 

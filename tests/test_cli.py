@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridpolar import cli
-from hybridpolar.analysis import brute_force_weights, pinned_coefficients
+from hybridpolar.analysis import brute_force_weights
 from hybridpolar.channel import MAX_LLR_SCALE, ChannelConfig
 from hybridpolar.codespec import CodeSpec, default_frozen_set, load_spec, save_spec
 
@@ -67,7 +68,7 @@ def edit_config(text, **kv):
 
 def test_parse_config_roundtrip(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path))
-    assert cfg.scheme == "hybrid" and cfg.n == 16 and cfg.seed == 123
+    assert cfg.code.scheme == "hybrid" and cfg.code.n == 16 and cfg.seed == 123
     assert cfg.ebn0_list == (8.0,)
     assert cfg.pin_coefficients is False
 
@@ -84,11 +85,34 @@ def test_unknown_config_key_rejected(tmp_path):
         cli.parse_config(write_config(tmp_path, BASE_CONFIG + "turbo_mode = on\n"))
 
 
+@pytest.mark.parametrize("key,value", [("n", "x"), ("seed", "1.5"), ("fading_blocks", "z"),
+                                       ("ebn0_list", "1,a"), ("design_snr", "abc")])
+def test_unreadable_config_value_names_its_key_and_file(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, **{key: value}))
+    bad = repr(value.split(",")[-1])
+    with pytest.raises(ValueError, match=re.escape(f"{cfg_path}: {key} = {bad} is not a valid")):
+        cli.parse_config(cfg_path)
+    assert cli.main(["construct", str(cfg_path), "-o", str(tmp_path / "x.spec")]) == 1
+    assert_one_error_line(capsys, str(cfg_path), key)
+
+
 def test_repeated_config_key_rejected(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG + "seed = 2\n")
     lines = BASE_CONFIG.count("\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:{lines + 1}: repeated key 'seed'")):
         cli.parse_config(path)
+
+
+REPO = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = [*sorted(REPO.glob("demos/configs/*.cfg")),
+                   *sorted(REPO.glob("perfbench/specs/*.cfg"))]
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_configs_parse_and_match_their_specs(path):
+    cfg = cli.parse_config(path)
+    if path.parent.name == "specs":    # perfbench/specs ships each code's config with its spec
+        cli.check_config_matches_spec(cfg, load_spec(path.with_suffix(".spec")))
 
 
 def assert_one_error_line(capsys, *words):
@@ -236,12 +260,19 @@ def test_simulate_csv_reproducible(tmp_path, constructed):
     assert strip_wall(out1.read_text()) == strip_wall(out2.read_text())
 
 
-def test_simulate_detects_spec_config_mismatch(tmp_path, constructed, capsys):
+# CodeSpec field -> a config edit, valid on its own, that changes that field of the code.
+MISMATCHES = {"scheme": dict(scheme="polar_repetition", t=1), "n": dict(n=32), "k": dict(k=7),
+              "t": dict(t=4), "r": dict(r=2), "p": dict(crc_len=6),
+              "crc_poly": dict(crc_poly="0x45"),
+              "encoder_variant": dict(encoder_variant="recursive")}
+
+
+@pytest.mark.parametrize("field", MISMATCHES)
+def test_simulate_detects_spec_config_mismatch(tmp_path, constructed, capsys, field):
     cfg_path, spec_path = constructed
-    text = edit_config(BASE_CONFIG, k=7)
-    cfg2 = write_config(tmp_path, text, name="bad.cfg")
+    cfg2 = write_config(tmp_path, edit_config(BASE_CONFIG, **MISMATCHES[field]), name="bad.cfg")
     assert cli.main(["simulate", str(cfg2), "--spec", str(spec_path)]) == 1
-    assert "mismatch" in capsys.readouterr().err
+    assert_one_error_line(capsys, f"spec/config mismatch on {field}:")
 
 
 def test_simulate_baseline_scheme(tmp_path):
@@ -279,7 +310,7 @@ def test_simulate_point_does_not_depend_on_the_chunk(monkeypatch, scheme, t):
 @pytest.mark.parametrize("max_frames", [0, -3])
 def test_simulate_point_rejects_nonpositive_max_frames(tmp_path, max_frames):
     text = edit_config(BASE_CONFIG, scheme="polar_repetition", n=32, t=1)
-    spec = cli.spec_from_config(cli.parse_config(write_config(tmp_path, text)))
+    spec = cli.parse_config(write_config(tmp_path, text)).code
     with pytest.raises(ValueError, match="max_frames"):
         cli.simulate_point(spec, 2.0, 1, 1, max_frames=max_frames, target_errors=0)
 
@@ -370,7 +401,7 @@ def test_weights_match_brute_force(tmp_path, constructed):
     assert cli.main(["weights", "--spec", str(spec_path), "--list-size", "64",
                      "--snr", "40.0", "--seed", "7", "-o", str(out)]) == 0
     spec = load_spec(spec_path)
-    exact = brute_force_weights(spec, coefficients=pinned_coefficients(spec, 7))
+    exact = brute_force_weights(spec, seed=7)
     got = {}
     for line in out.read_text().strip().splitlines()[1:]:
         w, c = line.split(",")
@@ -400,6 +431,14 @@ CAPPED_MAIN = ("import resource, sys\n"
                "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
+def run_capped(args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", CAPPED_MAIN, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("command", ["weights", "simulate"])
 @pytest.mark.parametrize("list_size", [1024, 2**40])
 def test_list_size_is_bounded_by_the_path_budget(tmp_path, command, list_size):
@@ -410,21 +449,31 @@ def test_list_size_is_bounded_by_the_path_budget(tmp_path, command, list_size):
                        ebn0_list="1.5", max_frames=8)
     cfg_path = write_config(tmp_path, text)
     spec_path = tmp_path / "code.spec"
-    save_spec(cli.spec_from_config(cli.parse_config(cfg_path)), spec_path)
+    save_spec(cli.parse_config(cfg_path).code, spec_path)
     args = {"weights": ["weights", "--spec", str(spec_path), "--list-size", str(list_size),
                         "--snr", "40.0", "--seed", "3", "-o", str(tmp_path / "w.csv")],
             "simulate": ["simulate", str(cfg_path), "--spec", str(spec_path),
                          "-o", str(tmp_path / "s.csv")]}[command]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_capped(args)
     if list_size == 1024:
         assert proc.returncode == 0, proc.stderr
         return
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: list size") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["construct", "simulate"])
+@pytest.mark.parametrize("key,field", [("k", "k"), ("crc_len", "p")])
+def test_a_huge_negative_length_fails_with_one_line(tmp_path, constructed, command, key, field):
+    # Reading a config builds its code, placeholder frozen set included, before
+    # CodeSpec.validate runs; that set must not grow with -k or -p.
+    cfg_path, spec_path = constructed
+    bad = write_config(tmp_path, edit_config(BASE_CONFIG, **{key: -2**40}), "bad.cfg")
+    args = {"construct": ["construct", str(bad), "-o", str(tmp_path / "x.spec")],
+            "simulate": ["simulate", str(bad), "--spec", str(spec_path)]}[command]
+    proc = run_capped(args)
+    assert proc.returncode == 1 and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: invalid CodeSpec field '{field}': -{2**40} is negative")
 
 
 # --- any config: it runs, or it fails with one error line ------------------------------

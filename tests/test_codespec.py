@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridpolar import codespec
 from hybridpolar.codespec import (CodeSpec, construct_code, default_frozen_set,
                                   first_error_counts, load_spec,
                                   monte_carlo_construct, save_spec)
@@ -151,6 +152,22 @@ def test_load_rejects_non_power_of_two_n(tmp_path):
         load_spec(path)
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("N = 128", "N = 64", "invalid CodeSpec field 'N': 64 != n*r = 128"),
+    ("N = 128", "N = x", "{path}: N = 'x' is not a valid int"),
+    ("design_snr = 2.0", "design_snr = abc", "{path}: design_snr = 'abc' is not a valid float"),
+    ("k = 12", "k = 12.0", "{path}: k = '12.0' is not a valid int"),
+    ("frozen_set = 0,", "frozen_set = a,", "{path}: frozen_set = 'a' is not a valid int")])
+def test_load_rejects_a_wrong_n_or_an_unreadable_value(tmp_path, old, new, message):
+    # N is derived from n * r, and a saved N line must agree with it.
+    path = tmp_path / "code.spec"
+    save_spec(valid_spec(), path)
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
+        load_spec(path)
+
+
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "broken.spec"
     path.write_text("scheme = hybrid\nn = 32\n")
@@ -198,10 +215,12 @@ def test_construction_deterministic():
     assert f1 == f2
 
 
-def test_construction_batch_size_invariant():
+def test_construction_batch_size_invariant(monkeypatch):
     spec = valid_spec(design_snr=0.0)
-    f1 = monte_carlo_construct(spec, trials=100, seed=5, batch=7)
-    f2 = monte_carlo_construct(spec, trials=100, seed=5, batch=64)
+    monkeypatch.setattr(codespec, "_TRIAL_BATCH", 7)
+    f1 = monte_carlo_construct(spec, trials=100, seed=5)
+    monkeypatch.setattr(codespec, "_TRIAL_BATCH", 64)
+    f2 = monte_carlo_construct(spec, trials=100, seed=5)
     assert f1 == f2
 
 
