@@ -167,7 +167,8 @@ def brute_force_weights(spec: CodeSpec, seed: int) -> WeightHistogram:
     All 2^{k+p} fillings of the unfrozen positions are encoded under the
     coefficients pinned from ``seed``: this is the code a list decoder
     without CRC filtering actually explores, so it is the right ground
-    truth for :func:`enumerate_low_weight` at the same seed.
+    truth for :func:`enumerate_low_weight` at the same seed.  ``seed``
+    only pins the hybrid multipliers; a baseline result does not depend on it.
     """
     n_payload = spec.k + spec.p
     if n_payload > _EXHAUSTIVE_GUARD:

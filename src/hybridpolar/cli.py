@@ -124,9 +124,6 @@ def parse_config(path) -> SimConfig:
     pin = merged["pin_coefficients"].lower()
     if pin not in ("true", "false", "0", "1"):
         raise ValueError(f"pin_coefficients must be boolean, got {pin!r}")
-    for key, low in (("max_frames", 1), ("target_errors", 0), ("list_size", 1), ("seed", 0)):
-        if number(key) < low:
-            raise ValueError(f"config {path}: {key} must be >= {low}, got {merged[key]}")
     n, k, p = number("n"), number("k"), number("crc_len")
     cfg = SimConfig(
         code=CodeSpec(scheme=merged["scheme"], n=n, k=k, t=number("t"), r=number("r"), p=p,
@@ -142,6 +139,9 @@ def parse_config(path) -> SimConfig:
         target_errors=number("target_errors"),
         pin_coefficients=pin in ("true", "1"),
     )
+    for key, low in (("max_frames", 1), ("target_errors", 0), ("list_size", 1), ("seed", 0)):
+        if getattr(cfg, key) < low:
+            raise ValueError(f"config {path}: {key} must be >= {low}, got {getattr(cfg, key)}")
     _channel.check_channel_kind(cfg.channel, cfg.fading_blocks)
     if cfg.channel == "rayleigh_block" and cfg.code.N % cfg.fading_blocks:
         raise ValueError(f"config {path}: fading_blocks = {cfg.fading_blocks} "

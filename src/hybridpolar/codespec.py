@@ -71,6 +71,8 @@ class CodeSpec:
             fail("scheme", f"must be one of {SCHEMES}")
         if self.n < 1 or self.n & (self.n - 1):
             fail("n", f"{self.n} is not a power of two")
+        if self.n > _decoder.MAX_PATH_ENTRIES:
+            fail("n", f"{self.n} exceeds the decoder's {_decoder.MAX_PATH_ENTRIES} LLRs per frame")
         if self.t not in SUPPORTED_DEGREES:
             fail("t", f"{self.t} not in {SUPPORTED_DEGREES}")
         if self.n % self.t or (self.n // self.t) & (self.n // self.t - 1):
@@ -118,8 +120,9 @@ class CodeSpec:
 
 
 def default_frozen_set(n: int, k: int, p: int) -> tuple:
-    """Placeholder frozen set: the lowest n-k-p indices, at most n (validate refuses k, p < 0)."""
-    return tuple(range(min(n, n - k - p)))
+    """Placeholder frozen set: the lowest n-k-p indices, at most n; none if validate refuses n."""
+    valid = 0 < n <= _decoder.MAX_PATH_ENTRIES and not n & (n - 1)
+    return tuple(range(min(n, n - k - p))) if valid else ()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridpolar import cli
+from hybridpolar import cli, decoder
 from hybridpolar.analysis import brute_force_weights
 from hybridpolar.channel import MAX_LLR_SCALE, ChannelConfig
 from hybridpolar.codespec import CodeSpec, default_frozen_set, load_spec, save_spec
@@ -474,6 +474,29 @@ def test_a_huge_negative_length_fails_with_one_line(tmp_path, constructed, comma
     proc = run_capped(args)
     assert proc.returncode == 1 and proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stderr.startswith(f"error: invalid CodeSpec field '{field}': -{2**40} is negative")
+
+
+@pytest.mark.parametrize("command", ["construct", "simulate"])
+@pytest.mark.parametrize("n,word", [(2**40, f"{2**40} exceeds the decoder's"),
+                                    (2**40 + 1, f"{2**40 + 1} is not a power of two")],
+                         ids=["power_of_two", "other"])
+def test_a_huge_length_fails_with_one_line(tmp_path, constructed, command, n, word):
+    # n is checked before the placeholder frozen set of about n indices is built.
+    cfg_path, spec_path = constructed
+    bad = write_config(tmp_path, edit_config(BASE_CONFIG, n=n), "bad.cfg")
+    args = {"construct": ["construct", str(bad), "-o", str(tmp_path / "x.spec")],
+            "simulate": ["simulate", str(bad), "--spec", str(spec_path)]}[command]
+    proc = run_capped(args)
+    assert proc.returncode == 1 and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: invalid CodeSpec field 'n': {word}")
+
+
+def test_the_widest_decodable_length_is_a_valid_code():
+    n = decoder.MAX_PATH_ENTRIES
+    assert CodeSpec("polar_repetition", n, n, 1, 1, 0, 0x43, (), 0.0).n == n
+    assert default_frozen_set(2 * n, 0, 0) == default_frozen_set(n + 1, 0, 0) == ()
+    with pytest.raises(ValueError, match=f"'n': {2 * n} exceeds the decoder's"):
+        CodeSpec("polar_repetition", 2 * n, 2 * n, 1, 1, 0, 0x43, (), 0.0)
 
 
 # --- any config: it runs, or it fails with one error line ------------------------------
