@@ -147,11 +147,11 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
     bits over its r repeats.
     """
     tables = spec.field_tables()
-    hybrid = spec.scheme == "hybrid"
-    coefficients = pinned_coefficients(spec, seed) if hybrid else None
+    coefficients = pinned_coefficients(spec, seed)
     cfg = _channel.ChannelConfig(kind="awgn", ebn0_db=high_snr_db, rate=spec.rate)
     channel_input = _channel.transmit_frames(spec, cfg, np.zeros((1, spec.n), dtype=np.int8),
                                              [_channel.seeded_rng(seed, 0)], coefficients)
+    hybrid = spec.scheme == "hybrid"
     decode = _decoder.scl_decode_batch if hybrid else _decoder.baseline_decode_batch
     out = decode(spec, channel_input, list_size, crc_on=False, return_paths=True)
 
@@ -175,7 +175,7 @@ def brute_force_weights(spec: CodeSpec, seed: int) -> WeightHistogram:
         raise ValueError(f"k+p = {n_payload} exceeds the exhaustive guard "
                          f"of {_EXHAUSTIVE_GUARD}")
     tables = spec.field_tables()
-    coefficients = pinned_coefficients(spec, seed) if spec.scheme == "hybrid" else None
+    coefficients = pinned_coefficients(spec, seed)
     hist = WeightHistogram()
     unfrozen = spec.unfrozen_indices()
     for start in range(1, 1 << n_payload, _WEIGHT_CHUNK):

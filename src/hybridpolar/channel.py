@@ -8,12 +8,13 @@ minimum; these 2^t vectors are formed only after the r repeats are
 summed (:func:`hybridpolar.decoder.combine_repetitions`).
 
 :func:`transmit_frames` is the one transmit chain of every simulation,
-construction and spectrum run.  Frame i draws from its own generator,
-in this order: the caller's u vector, its repetition coefficients
-(unless pinned), its fading gains, its noise.  A helper thread draws
-the gains and noise of each frame, in order, after the calling thread
-has drawn every frame's coefficients; no generator is ever used by two
-threads, so no stream, and no output bit, depends on their timing.
+construction and spectrum run; it combines each frame's r repeats for both
+schemes, so no (frames, N) array exists.  Frame i draws from its own generator,
+in this order: the caller's u vector, its repetition coefficients (unless
+pinned), its fading gains, its noise.  A helper thread draws the gains and noise
+of each frame, in order, after the calling thread has drawn every frame's
+coefficients; no generator is ever used by two threads, so no stream, and no
+output bit, depends on their timing.
 """
 
 from __future__ import annotations
@@ -147,13 +148,15 @@ def seeded_rng(seed: int, *path: int):
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(path)))
 
 
-def pinned_coefficients(spec: "CodeSpec", seed: int) -> np.ndarray:
-    """The (r-1, n/t) repetition multipliers a run pins, from the stream (seed, 1)."""
+def pinned_coefficients(spec: "CodeSpec", seed: int) -> np.ndarray | None:
+    """The (r-1, n/t) multipliers a hybrid run pins, from the stream (seed, 1); baseline: None."""
+    if spec.scheme != "hybrid":
+        return None
     return _encoder.draw_coefficients(spec.n // spec.t, spec.r, spec.field_tables(),
                                       seeded_rng(seed, 1))
 
 
-_RING = 4   # hybrid noise buffers in flight between the two threads
+_RING = 4   # N-sample noise buffers in flight between the two threads
 
 
 def _draw_frames(cfg: ChannelConfig, rngs, ring: np.ndarray, free, ready) -> None:
@@ -171,9 +174,9 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
 
     ``rngs`` holds one generator per frame; hybrid frames draw their coefficients from it
     unless ``pinned`` (r-1, n/t) fixes them.  Then a helper thread draws each frame's gains
-    and noise into its (frames, N) baseline output row or a reused hybrid buffer, while this
-    thread adds the samples of rho * c, read from a table, forms the LLRs in place and
-    combines a hybrid frame into its row of the (frames, n/t, 2^t) output.
+    and noise into a reused N-sample buffer, while this thread adds the samples of rho * c,
+    read from a table, forms the LLRs in place and sums the r repeats into the frame's row
+    of the (frames, n/t, 2^t) symbol LLRs (hybrid) or (frames, n) bit LLRs (baseline).
     """
     hybrid = spec.scheme == "hybrid"
     _check_blocks(cfg, spec.N)
@@ -189,10 +192,10 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
     keys = rho + q * np.arange(n2)   # the combine keys i*q + rho
     outer = q * _encoder.encode_u_vector(u, spec)   # c*q: row c*q + rho holds rho * c
     samples = _bpsk_table(t, poly)
-    out = np.empty((len(rngs), n2, q) if hybrid else (len(rngs), spec.N))
-    ring = np.empty((min(_RING, len(rngs)), spec.N)) if hybrid else out
+    out = np.empty((len(rngs), n2, q) if hybrid else (len(rngs), spec.n))
+    ring = np.empty((min(_RING, len(rngs)), spec.N))
     free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for slot in range(min(_RING, len(ring))):
+    for slot in range(len(ring)):
         free.put(slot)
     helper = threading.Thread(target=_draw_frames, args=(cfg, rngs, ring, free, ready),
                               daemon=True)
@@ -207,9 +210,9 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
             _receive(x, h, cfg, y)
             blocks = y.reshape(np.shape(h)[:-1] + (-1,))
             blocks *= 2.0 / cfg.sigma2 * h   # (2/sigma^2 * h) * y, as initial_llrs rounds it
-            if hybrid:
-                out[row] = _decoder.combine_keyed(y, keys[row % len(keys)], tables)
-            free.put((row + _RING) % len(ring))   # frame row + _RING's slot or output row
+            out[row] = (_decoder.combine_keyed(y, keys[row % len(keys)], tables) if hybrid
+                        else _decoder.combine_baseline(y, spec.r))
+            free.put(slot)
     finally:
         free.put(None)
         helper.join()

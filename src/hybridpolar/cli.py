@@ -37,10 +37,6 @@ from . import decoder as _decoder
 from . import encoder as _encoder
 from .codespec import CodeSpec, default_frozen_set, load_spec, save_spec
 
-CSV_HEADER = ("scheme,n,N,k,t,r,L,channel,B,ebn0_db,seed,frames,"
-              "frame_errors,bit_errors,fer,ber,wall_seconds")
-
-
 @dataclass(frozen=True)
 class SimRecord:
     """One FER measurement row."""
@@ -67,6 +63,9 @@ class SimRecord:
         return ",".join(str(getattr(self, f.name)) if not isinstance(getattr(self, f.name), float)
                         else repr(getattr(self, f.name))
                         for f in dataclass_fields(self))
+
+
+CSV_HEADER = ",".join(f.name for f in dataclass_fields(SimRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +160,6 @@ def check_config_matches_spec(cfg: SimConfig, spec: CodeSpec) -> None:
 # Frame-error simulation
 # ---------------------------------------------------------------------------
 
-def _chunk_size(spec: CodeSpec, list_size: int) -> int:
-    # A frame's recursion holds its root span and every half below it: under twice the root.
-    return int(np.clip(4_000_000 // (2 * _decoder.frame_path_entries(spec, list_size)), 8, 2048))
-
-
 def simulate_point(spec: CodeSpec, ebn0_db: float, list_size: int, seed: int,
                    max_frames: int, target_errors: int, channel_kind: str = "awgn",
                    fading_blocks: int = 0, pin_coefficients: bool = False) -> SimRecord:
@@ -181,11 +175,10 @@ def simulate_point(spec: CodeSpec, ebn0_db: float, list_size: int, seed: int,
     t0 = time.perf_counter()
     cfg = _channel.ChannelConfig(kind=channel_kind, ebn0_db=ebn0_db,
                                  rate=spec.rate, fading_blocks=fading_blocks)
+    pinned = _channel.pinned_coefficients(spec, seed) if pin_coefficients else None
     hybrid = spec.scheme == "hybrid"
-    pinned = _channel.pinned_coefficients(spec, seed) if pin_coefficients and hybrid else None
     decode = _decoder.scl_decode_batch if hybrid else _decoder.baseline_decode_batch
-
-    chunk = _chunk_size(spec, list_size)
+    chunk = _decoder.frame_batch(spec, list_size, pinned is not None)
     frames = frame_errors = bit_errors = 0
     while frames < max_frames:
         m = min(chunk, max_frames - frames)

@@ -30,8 +30,8 @@ ENCODER_VARIANTS = ("flat", "recursive")
 
 DEFAULT_CONSTRUCTION_TRIALS = 100_000
 
-# Construction trials encoded and decoded per batch; the counts do not depend on it.
-_TRIAL_BATCH = 512
+# Most channel samples N = n*r in a frame, as many as the widest decodable n.
+MAX_FRAME_SAMPLES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,8 @@ class CodeSpec:
             fail("t", f"n/t must be a power of two (n={self.n}, t={self.t})")
         if self.r < 1:
             fail("r", "needs at least one repetition")
+        if self.N > MAX_FRAME_SAMPLES:
+            fail("r", f"N = n*r = {self.N} exceeds {MAX_FRAME_SAMPLES} channel samples per frame")
         for name in ("k", "p", "crc_poly"):
             if getattr(self, name) < 0:
                 fail(name, f"{getattr(self, name)} is negative")
@@ -145,12 +147,12 @@ def first_error_counts(params: CodeSpec, trials: int, seed: int) -> np.ndarray:
         raise ValueError("trials must be >= 1")
     cfg = _channel.ChannelConfig(kind="awgn", ebn0_db=params.design_snr,
                                  rate=params.rate)
-    pinned = _channel.pinned_coefficients(params, seed) if params.scheme == "hybrid" else None
+    pinned = _channel.pinned_coefficients(params, seed)
 
     counts = np.zeros(params.n, dtype=np.int64)
     done = 0
     while done < trials:
-        m = min(_TRIAL_BATCH, trials - done)
+        m = min(_decoder.frame_batch(params, 1, pinned=True), trials - done)
         rngs = [_channel.seeded_rng(seed, 0, done + j) for j in range(m)]
         u = np.stack([rng.integers(0, 2, size=params.n, dtype=np.int8) for rng in rngs])
         channel_input = _channel.transmit_frames(params, cfg, u, rngs, pinned)

@@ -1,6 +1,7 @@
 """CRC-aided SCL decoding for both repetition schemes; ``list_size = 1`` is SC.
 
-Decoding a hybrid frame has four parts:
+The frame pipeline sums each frame's r repeats (a baseline bit's by :func:`combine_baseline`),
+so the decoders read outer-code LLRs only.  Of a hybrid frame's four parts, it runs the first:
 
 1. the r observations of each outer symbol combine straight from
    the bit LLRs: those of the repeats that share a coefficient rho are
@@ -85,6 +86,12 @@ def combine_repetitions(bit_llrs: np.ndarray, coefficients: np.ndarray,
     keys = block_coefficients(coefficients, r, n2, q)
     keys += q * np.arange(keys.size // r).reshape(lead + (1, n2))   # (frame*n2 + i)*q + rho
     return combine_keyed(bit_llrs, keys, tables).reshape(lead + (n2, q))
+
+
+def combine_baseline(bit_llrs: np.ndarray, r: int) -> np.ndarray:
+    """Sum the r repeated copies of each coded bit's LLR: (..., r*n) to (..., n)."""
+    bit_llrs = np.asarray(bit_llrs, dtype=np.float64)
+    return bit_llrs.reshape(*bit_llrs.shape[:-1], r, -1).sum(axis=-2)
 
 
 def combine_keyed(bit_llrs: np.ndarray, keys: np.ndarray, tables: FieldTables) -> np.ndarray:
@@ -427,11 +434,14 @@ def _rate0_bin(a: np.ndarray) -> np.ndarray:
 
 
 def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
-    """Run the recursion of ``spec.scheme`` over (frames, n/t, 2^t) or (frames, N) LLRs.
+    """Run the recursion of ``spec.scheme`` over (frames, n/t, 2^t) or (frames, n) LLRs.
 
     The kernels are looked up at call time, so a wrapped module attribute is used.
     """
     root = np.asarray(channel_input, dtype=np.float64)
+    shape = (spec.n // spec.t, 1 << spec.t) if spec.scheme == "hybrid" else (spec.n,)
+    if root.shape[1:] != shape:
+        raise ValueError(f"decoder input has shape {root.shape}, not (frames,) + {shape}")
     if spec.scheme == "hybrid":
         block_map = stage1_block_map(spec.t, spec.encoder_variant)
         leaf = functools.partial(_symbol_leaf, block_map)
@@ -444,8 +454,7 @@ def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
               node, 0)
     else:
         # No node: over scalar LLRs it saved no time, and its temporaries grew the heap.
-        _span(state, combine_baseline(root, spec.r)[:, None], _f_bin, _g_bin, _bit_leaf,
-              _rate0_bin, None, 0)
+        _span(state, root[:, None], _f_bin, _g_bin, _bit_leaf, _rate0_bin, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -503,46 +512,39 @@ def frame_path_entries(spec: "CodeSpec", list_size: int) -> int:
     return entries
 
 
+def frame_batch(spec: "CodeSpec", list_size: int, pinned: bool) -> int:
+    """Frames per batch of every frame loop, about 4e6 array entries; no output depends on it.
+
+    A frame's decode holds under twice :func:`frame_path_entries`; before it, the channel of
+    an unpinned hybrid frame holds its int64 (r-1, n/t) multipliers and (r, n/t) rho and keys.
+    """
+    entries = 2 * frame_path_entries(spec, list_size)
+    if spec.scheme == "hybrid" and not pinned:
+        entries = max(entries, (3 * spec.r - 1) * (spec.n // spec.t))
+    return int(np.clip(4_000_000 // entries, 1, 2048))
+
+
 def _list_decode(spec: "CodeSpec", channel_input: np.ndarray, list_size: int,
                  crc_on: bool, return_paths: bool) -> BatchDecodeResult:
     frame_path_entries(spec, list_size)
-    state = _PathState(channel_input.shape[0], spec.n, list_size, spec.frozen_mask())
+    state = _PathState(len(channel_input), spec.n, list_size, spec.frozen_mask())
     _decode(spec, state, channel_input)
     return _finalize(spec, state, crc_on, return_paths)
 
 
 def scl_decode_batch(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,
                      crc_on: bool = True, return_paths: bool = False) -> BatchDecodeResult:
-    """Decode a batch of hybrid frames from combined symbol LLR vectors.
+    """Decode a batch of hybrid frames from (frames, n/t, 2^t) combined symbol LLR vectors.
 
-    ``s_inner`` has shape (frames, n/t, 2^t).  ``list_size = 1`` is plain
-    successive cancellation: the one path keeps the cheaper child of each bit,
-    which is the sign decision (0 on a tie).
+    ``list_size = 1`` is plain successive cancellation: the one path keeps the cheaper
+    child of each bit, which is the sign decision (0 on a tie).
     """
-    s_inner = np.asarray(s_inner, dtype=np.float64)
-    n2 = spec.n // spec.t
-    if s_inner.ndim != 3 or s_inner.shape[1] != n2 or s_inner.shape[2] != (1 << spec.t):
-        raise ValueError(
-            f"s_inner must have shape (frames, {n2}, {1 << spec.t}), got {s_inner.shape}"
-        )
     return _list_decode(spec, s_inner, list_size, crc_on, return_paths)
-
-
-def combine_baseline(bit_llrs: np.ndarray, r: int) -> np.ndarray:
-    """Sum the r repeated copies of each coded bit's LLR."""
-    bit_llrs = np.asarray(bit_llrs, dtype=np.float64)
-    n = bit_llrs.shape[-1] // r
-    if bit_llrs.shape[-1] != n * r:
-        raise ValueError("LLR length is not a multiple of r")
-    return bit_llrs.reshape(*bit_llrs.shape[:-1], r, n).sum(axis=-2)
 
 
 def baseline_decode_batch(spec: "CodeSpec", bit_llrs: np.ndarray, list_size: int,
                           crc_on: bool = True, return_paths: bool = False) -> BatchDecodeResult:
-    """Decode baseline frames from the N per-bit channel LLRs."""
-    bit_llrs = np.asarray(bit_llrs, dtype=np.float64)
-    if bit_llrs.ndim != 2 or bit_llrs.shape[1] != spec.N:
-        raise ValueError(f"bit_llrs must have shape (frames, {spec.N})")
+    """Decode baseline frames from (frames, n) bit LLRs, each the sum of its r repeats."""
     return _list_decode(spec, bit_llrs, list_size, crc_on, return_paths)
 
 

@@ -22,7 +22,8 @@ import oracles
 from hybridpolar import channel as ch
 from hybridpolar import encoder as enc
 from hybridpolar.codespec import CodeSpec, default_frozen_set
-from hybridpolar.decoder import baseline_decode_batch, genie_first_errors, scl_decode_batch
+from hybridpolar.decoder import (baseline_decode_batch, combine_baseline, genie_first_errors,
+                                 scl_decode_batch)
 
 CORPUS_PATH = Path(__file__).resolve().parent / "data" / "decode_corpus.npz"
 
@@ -124,11 +125,13 @@ def run_case(family: str, mode: str, list_size: int, crc_on: bool,
     """Decode one case; returns the arrays the corpus stores for it."""
     _, scheme, t, variant, frozen = next(f for f in FAMILIES if f[0] == family)
     spec = family_spec(scheme, t, variant, frozen)
+    llrs = {key: inputs[key] for key in ("decode", "genie")}
+    if scheme != "hybrid":   # stored as the N bit LLRs; the decoders read their sums
+        llrs = {key: combine_baseline(value, spec.r) for key, value in llrs.items()}
     if mode == "genie":
-        return {"first_error": genie_first_errors(spec, inputs["genie"],
-                                                  inputs["genie_u"])}
+        return {"first_error": genie_first_errors(spec, llrs["genie"], inputs["genie_u"])}
     decode = scl_decode_batch if scheme == "hybrid" else baseline_decode_batch
-    out = decode(spec, inputs["decode"], list_size, crc_on=crc_on, return_paths=True)
+    out = decode(spec, llrs["decode"], list_size, crc_on=crc_on, return_paths=True)
     # Survivors in lexicographic order of their u vectors, metrics alongside,
     # so the stored set does not depend on the order paths are kept in.
     order = np.stack([np.lexsort(u.T[::-1]) for u in out.all_u])

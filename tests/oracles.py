@@ -282,9 +282,9 @@ def sc_decode(x, spec) -> list:
     """The u of one frame by successive cancellation: the sign rule, 0 on a tie.
 
     ``x`` is the frame's decoder input: combined (n/t, 2^t) symbol LLRs for
-    the hybrid scheme, the r*n channel bit LLRs for the baseline.  Frozen
-    bits decide 0.  The baseline sums its r copies and runs ``binary_f`` /
-    ``binary_g``; the hybrid code runs the enumerated Stage-2 updates and
+    the hybrid scheme, the n combined bit LLRs for the baseline.  Frozen
+    bits decide 0.  The baseline runs ``binary_f`` / ``binary_g``; the
+    hybrid code runs the enumerated Stage-2 updates and
     reads each symbol's bits with ``stage1_bit_llr_enum``.
     """
     frozen = set(spec.frozen_set)
@@ -308,7 +308,7 @@ def sc_decode(x, spec) -> list:
         root = [np.asarray(v, dtype=np.float64) for v in x]
     else:
         plus, minus, leaf = binary_f, binary_g, decide
-        root = [sum(float(x[j * spec.n + i]) for j in range(spec.r)) for i in range(spec.n)]
+        root = [float(v) for v in x]
 
     def span(s) -> list:
         if len(s) == 1:

@@ -141,8 +141,9 @@ def test_criterion_4_degenerate_equivalence():
     y, h = ch.transmit(x_b, cfg, rng)
     llrs = ch.initial_llrs(y, h, cfg.sigma2)
     s_inner = dec.combine_repetitions(llrs, ones, gf2)
+    bit_sums = dec.combine_baseline(llrs, r)
     for L in (1, 4):
-        out_b = dec.baseline_decode_batch(spec_b, llrs, L)
+        out_b = dec.baseline_decode_batch(spec_b, bit_sums, L)
         out_h = dec.scl_decode_batch(spec_h, s_inner, L)
         assert np.array_equal(out_b.u_hat, out_h.u_hat)
         assert np.array_equal(out_b.crc_pass, out_h.crc_pass)

@@ -132,7 +132,7 @@ def test_codeword_weights_match_per_row_oracle(scheme, t, r, rows):
     tables = spec.field_tables()
     u = np.random.default_rng(rows + 10 * r + 100 * t).integers(0, 2, size=(rows, 32),
                                                                 dtype=np.int8)
-    rho = pinned_coefficients(spec, 5) if scheme == "hybrid" else None
+    rho = pinned_coefficients(spec, 5)
     expected = [oracles.codeword_weight(row, spec, tables, rho) for row in u]
     assert _codeword_weights(u, spec, tables, rho).tolist() == expected
 
@@ -143,7 +143,7 @@ def test_brute_force_matches_per_codeword_loop(scheme, t, r):
     # k = 8: 255 messages, so the payloads span two chunks.
     spec = CodeSpec(scheme=scheme, n=16, k=8, t=t, r=r, p=0, crc_poly=0,
                     frozen_set=default_frozen_set(16, 8, 0), design_snr=2.0)
-    rho = pinned_coefficients(spec, 2) if scheme == "hybrid" else None
+    rho = pinned_coefficients(spec, 2)
     assert brute_force_weights(spec, seed=2).counts == \
         oracles.brute_force_weight_counts(spec, rho)
 

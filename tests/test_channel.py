@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import sys
 import threading
@@ -12,7 +13,7 @@ from hybridpolar import channel, decoder, encoder
 from hybridpolar.channel import (ChannelConfig, bpsk_modulate, initial_llrs, pinned_coefficients,
                                  seeded_rng, transmit, transmit_frames)
 from hybridpolar.codespec import CodeSpec, default_frozen_set
-from hybridpolar.decoder import combine_repetitions
+from hybridpolar.decoder import combine_baseline, combine_repetitions
 from hybridpolar.galois import build_field, unpack_symbol_array
 from test_perfbench_layers import load_layers
 
@@ -228,8 +229,17 @@ def frame_by_frame(spec, cfg, u, rngs, pinned):
         symbols = oracles.channel_stream(u_row, spec, tables, rho)
         y, h = transmit(bpsk_modulate(symbols, spec.t if hybrid else 1), cfg, rng)
         llrs = initial_llrs(y, h, cfg.sigma2)
-        rows.append(combine_repetitions(llrs, rho, tables) if hybrid else llrs)
+        rows.append(combine_repetitions(llrs, rho, tables) if hybrid
+                    else combine_baseline(llrs, spec.r))
     return np.stack(rows)
+
+
+def test_pinned_coefficients_are_none_for_the_baseline():
+    spec = CodeSpec(scheme="polar_repetition", n=32, k=16, t=1, r=4, p=0, crc_poly=0,
+                    frozen_set=default_frozen_set(32, 16, 0), design_snr=1.0)
+    assert pinned_coefficients(spec, 5) is None
+    hybrid = dataclasses.replace(spec, scheme="hybrid")
+    assert pinned_coefficients(hybrid, 5).shape == (3, 32)
 
 
 @pytest.mark.parametrize("kind, blocks", [("awgn", 0), ("rayleigh_block", 4)])
@@ -255,7 +265,7 @@ def test_transmit_frames_equals_the_single_frame_chain(kind, blocks, scheme, t, 
             split.append(transmit_frames(spec, cfg, u[cut:], rngs[cut:], pinned))
         u, rngs = frame_generators(spec, frames)
         reference = frame_by_frame(spec, cfg, u, rngs, pinned)
-        shape = (frames, spec.n // t, 1 << t) if scheme == "hybrid" else (frames, spec.N)
+        shape = (frames, spec.n // t, 1 << t) if scheme == "hybrid" else (frames, spec.n)
         assert whole.shape == shape
         assert whole.tobytes() == np.concatenate(split).tobytes() == reference.tobytes()
 
@@ -413,7 +423,7 @@ def test_traced_layers_run_on_the_calling_thread(scheme, t, kind, pin, monkeypat
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, wrapped)
     spec, cfg = pipeline_case(scheme, t, kind)
-    pinned = pinned_coefficients(spec, 5) if pin and scheme == "hybrid" else None
+    pinned = pinned_coefficients(spec, 5) if pin else None
     u, rngs = frame_generators(spec, 2 * channel._RING + 1)
     seen.clear()
     transmit_frames(spec, cfg, u, rngs, pinned)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from hybridpolar import cli, decoder
 from hybridpolar.analysis import brute_force_weights
 from hybridpolar.channel import MAX_LLR_SCALE, ChannelConfig
-from hybridpolar.codespec import CodeSpec, default_frozen_set, load_spec, save_spec
+from hybridpolar.codespec import (MAX_FRAME_SAMPLES, CodeSpec, default_frozen_set, load_spec,
+                                  save_spec)
 
 BASE_CONFIG = """\
 scheme = hybrid
@@ -222,10 +223,11 @@ def test_simulate_noiseless_point_zero_fer(tmp_path, constructed):
     assert cli.main(["simulate", str(cfg2), "--spec", str(spec_path),
                      "-o", str(out)]) == 0
     rows = out.read_text().strip().splitlines()
-    assert rows[0] == cli.CSV_HEADER
+    assert rows[0] == ("scheme,n,N,k,t,r,L,channel,B,ebn0_db,seed,frames,"
+                       "frame_errors,bit_errors,fer,ber,wall_seconds")
     record = rows[1].split(",")
-    assert record[cli.CSV_HEADER.split(",").index("frame_errors")] == "0"
-    assert record[cli.CSV_HEADER.split(",").index("fer")] == "0.0"
+    assert record[rows[0].split(",").index("frame_errors")] == "0"
+    assert record[rows[0].split(",").index("fer")] == "0.0"
 
 
 def test_simulate_target_zero_runs_max_frames(tmp_path, constructed):
@@ -302,7 +304,7 @@ def test_simulate_point_does_not_depend_on_the_chunk(monkeypatch, scheme, t):
                 for ebn0, target in ((-2.0, 8), (2.0, 0))]
 
     default = records()
-    monkeypatch.setattr(cli, "_chunk_size", lambda spec, list_size: 3)
+    monkeypatch.setattr(decoder, "frame_batch", lambda spec, list_size, pinned: 3)
     assert records() == default
     assert default[0].frame_errors == 8 and default[0].frames % 3 and default[1].frames == 40
 
@@ -499,12 +501,64 @@ def test_the_widest_decodable_length_is_a_valid_code():
         CodeSpec("polar_repetition", 2 * n, 2 * n, 1, 1, 0, 0x43, (), 0.0)
 
 
+PAPER_CONFIG = edit_config(BASE_CONFIG, n=512, k=80, r=16, list_size=8, crc_len=6,
+                           ebn0_list="1.5", max_frames=64)
+
+
+@pytest.mark.parametrize("command", ["construct", "simulate", "weights", "roundtrip"])
+@pytest.mark.parametrize("scheme,t", [("hybrid", 2), ("polar_repetition", 1)])
+@pytest.mark.parametrize("r", [2**40, 2**16])
+def test_a_huge_repetition_fails_with_one_line(tmp_path, command, scheme, t, r):
+    # N = n*r is bounded before any coefficient array or N-sample buffer is built,
+    # in a config and in a hand-written spec alike.
+    text = edit_config(PAPER_CONFIG, scheme=scheme, t=t)
+    spec_path = tmp_path / "code.spec"
+    save_spec(cli.parse_config(write_config(tmp_path, text)).code, spec_path)
+    spec_text = "".join(f"r = {r}\n" if line.startswith("r =") else line
+                        for line in spec_path.read_text().splitlines(True)
+                        if not line.startswith("N ="))
+    spec_path.write_text(spec_text)
+    cfg_path = write_config(tmp_path, edit_config(text, r=r))
+    args = {"construct": ["construct", str(cfg_path), "-o", str(tmp_path / "x.spec"),
+                          "--trials", "4"],
+            "simulate": ["simulate", str(cfg_path), "--spec", str(spec_path)],
+            "weights": ["weights", "--spec", str(spec_path), "--list-size", "4"],
+            "roundtrip": ["roundtrip", "--spec", str(spec_path), "--frames", "4"]}[command]
+    proc = run_capped(args)
+    assert proc.returncode == 1 and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: invalid CodeSpec field 'r': N = n*r = {512 * r} "
+                                  f"exceeds {MAX_FRAME_SAMPLES}")
+
+
+@pytest.mark.parametrize("command,scheme,t", [("construct", "polar_repetition", 1),
+                                              ("simulate", "hybrid", 2)])
+def test_a_long_frame_runs_under_the_memory_cap(tmp_path, command, scheme, t):
+    # N = 2^21: baseline trials hold no (trials, N) array, and an unpinned hybrid
+    # chunk is sized by its per-frame coefficients and keys (a 64-frame chunk of
+    # them would need about 1.5 GiB).
+    text = edit_config(PAPER_CONFIG, scheme=scheme, t=t, r=4096)
+    cfg_path = write_config(tmp_path, text)
+    spec_path = tmp_path / "code.spec"
+    if command == "simulate":
+        save_spec(cli.parse_config(cfg_path).code, spec_path)
+    args = {"construct": ["construct", str(cfg_path), "-o", str(spec_path), "--trials", "64"],
+            "simulate": ["simulate", str(cfg_path), "--spec", str(spec_path),
+                         "-o", str(tmp_path / "s.csv")]}[command]
+    proc = run_capped(args)
+    assert proc.returncode == 0, proc.stderr
+    if command == "construct":
+        assert load_spec(spec_path).N == 512 * 4096
+    else:
+        assert (tmp_path / "s.csv").read_text().splitlines()[1].split(",")[11] == "64"
+
+
 # --- any config: it runs, or it fails with one error line ------------------------------
 
 # Values the property below swaps into an otherwise valid config.
 EDGE_VALUES = {
     "scheme": ["turbo", ""], "n": ["1", "3", "0", "-8", "x"], "k": ["0", "-1", "64", "70"],
-    "t": ["3", "0", "8"], "r": ["0", "-2", "9"], "list_size": ["0", "-1", "3", str(2 ** 40)],
+    "t": ["3", "0", "8"], "r": ["0", "-2", "9", str(2**24 + 1), str(2**40)],
+    "list_size": ["0", "-1", "3", str(2 ** 40)],
     "crc_poly": ["0", "0x1", "z", "-0x43", "0x10000"], "crc_len": ["-1", "7", "64"],
     "channel": ["rayleigh", ""], "fading_blocks": ["0", "3", "1000", "-1"],
     "design_snr": ["nan", "inf", "-inf", "1e300", "abc", "1500"],

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridpolar import codespec
-from hybridpolar.codespec import (CodeSpec, construct_code, default_frozen_set,
+from hybridpolar import codespec, decoder
+from hybridpolar.codespec import (MAX_FRAME_SAMPLES, CodeSpec, construct_code, default_frozen_set,
                                   first_error_counts, load_spec,
                                   monte_carlo_construct, save_spec)
 
@@ -36,6 +36,13 @@ def test_valid_spec_derives_defaults():
 def test_rejects_non_power_of_two_n():
     with pytest.raises(ValueError, match="'n'"):
         valid_spec(n=24, frozen_set=default_frozen_set(24, 12, 6))
+
+
+def test_rejects_more_channel_samples_than_the_bound():
+    widest = MAX_FRAME_SAMPLES // 32
+    assert valid_spec(r=widest).N == MAX_FRAME_SAMPLES
+    with pytest.raises(ValueError, match=f"'r': N = n\\*r = {MAX_FRAME_SAMPLES + 32} exceeds"):
+        valid_spec(r=widest + 1)
 
 
 def test_rejects_bad_frozen_size():
@@ -217,9 +224,8 @@ def test_construction_deterministic():
 
 def test_construction_batch_size_invariant(monkeypatch):
     spec = valid_spec(design_snr=0.0)
-    monkeypatch.setattr(codespec, "_TRIAL_BATCH", 7)
-    f1 = monte_carlo_construct(spec, trials=100, seed=5)
-    monkeypatch.setattr(codespec, "_TRIAL_BATCH", 64)
+    f1 = monte_carlo_construct(spec, trials=100, seed=5)   # one batch by the rule
+    monkeypatch.setattr(decoder, "frame_batch", lambda spec, list_size, pinned: 7)
     f2 = monte_carlo_construct(spec, trials=100, seed=5)
     assert f1 == f2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 from unittest import mock
@@ -608,7 +609,7 @@ def test_rate0_subtrees_are_not_descended(monkeypatch):
     spec_h = spec_for(n=16, k=8, t=2, r=2)                      # symbols 0..3 frozen
     spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
     scl_decode_batch(spec_h, rng.normal(size=(2, 8, 4)), 4)
-    baseline_decode_batch(spec_b, rng.normal(size=(2, 32)), 4)
+    baseline_decode_batch(spec_b, combine_baseline(rng.normal(size=(2, 32)), 2), 4)
     # 7 and 15 without skipping; the root's check update only fed its frozen left child,
     # and the baseline stays on the recursion.
     assert (len(plus_calls), len(f_calls)) == (0, 7)
@@ -752,7 +753,7 @@ def test_baseline_and_genie_stay_on_the_recursion(monkeypatch):
     rng = np.random.default_rng(23)
     spec_h = spec_for(n=16, k=8, t=2, r=2)
     spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
-    baseline_decode_batch(spec_b, rng.normal(size=(2, 32)), 4)
+    baseline_decode_batch(spec_b, combine_baseline(rng.normal(size=(2, 32)), 2), 4)
     genie_first_errors(spec_h, rng.normal(size=(2, 8, 4)), np.zeros((2, 16), dtype=np.int8))
 
 
@@ -879,7 +880,7 @@ def test_baseline_noiseless_roundtrip():
         x = 1.0 - 2.0 * enc.encode_baseline(info, spec).symbols
         y, h = ch.transmit(x, cfg, rng)
         llrs = ch.initial_llrs(y, h, cfg.sigma2)
-        res = baseline_decode_batch(spec, llrs[None], L)
+        res = baseline_decode_batch(spec, combine_baseline(llrs, spec.r)[None], L)
         assert np.array_equal(res.u_hat[0, spec.unfrozen_indices()[:spec.k]], info)
 
 
@@ -901,7 +902,7 @@ def test_hybrid_t1_unit_rho_matches_baseline_decisions():
         s_inner.append(combine_repetitions(llrs[-1], ones, gf2))
     for L in (1, 4):
         res_h = scl_decode_batch(spec_h, np.stack(s_inner), L)
-        res_b = baseline_decode_batch(spec_b, np.stack(llrs), L)
+        res_b = baseline_decode_batch(spec_b, combine_baseline(np.stack(llrs), r), L)
         for row_h, row_b in zip(res_h.u_hat, res_b.u_hat):
             assert np.array_equal(row_h, row_b)
 
@@ -979,7 +980,7 @@ def test_batch_split_invariance(seed, frames, data, list_size, family, crc_on):
         x[..., 0] = 0.0
         decode = scl_decode_batch
     else:
-        x = rng.normal(1.0, 2.0, size=(frames, spec.N))
+        x = combine_baseline(rng.normal(1.0, 2.0, size=(frames, spec.N)), spec.r)
         decode = baseline_decode_batch
     cut = data.draw(st.integers(1, frames - 1))
     whole = decode(spec, x, list_size, crc_on=crc_on, return_paths=True)
@@ -996,7 +997,7 @@ def random_decoder_input(spec, rng, frames):
         x = rng.normal(1.0, 2.0, size=(frames, spec.n // spec.t, 1 << spec.t))
         x[..., 0] = 0.0
         return x
-    return rng.normal(1.0, 2.0, size=(frames, spec.N))
+    return combine_baseline(rng.normal(1.0, 2.0, size=(frames, spec.N)), spec.r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1052,7 +1053,8 @@ def test_hybrid_t1_unit_rho_equals_baseline(seed, frozen, list_size, crc_on):
     llrs = np.random.default_rng(seed).normal(1.0, 2.0, size=(4, r * n))
     s_inner = combine_repetitions(llrs, np.ones((4, r - 1, n), dtype=np.int64), build_field(1))
     hyb = scl_decode_batch(spec_h, s_inner, list_size, crc_on=crc_on, return_paths=True)
-    base = baseline_decode_batch(spec_b, llrs, list_size, crc_on=crc_on, return_paths=True)
+    base = baseline_decode_batch(spec_b, combine_baseline(llrs, r), list_size, crc_on=crc_on,
+                                 return_paths=True)
     for field in ("u_hat", "crc_pass", "list_rank", "all_u"):
         assert np.array_equal(getattr(hyb, field), getattr(base, field)), field
     for field in ("chosen_pm", "all_pm"):
@@ -1084,7 +1086,7 @@ def test_list_size_budget_counts_reachable_paths(monkeypatch):
     # n/t * 2^t = 32 LLR entries, a baseline path n = 16.
     spec_h = spec_for(n=16, k=3, t=2, r=2)
     spec_b = spec_for(scheme="polar_repetition", n=16, k=3, t=1, r=2)
-    x_h, x_b = np.ones((1, 8, 4)), np.ones((1, 32))
+    x_h, x_b = np.ones((1, 8, 4)), combine_baseline(np.ones((1, 32)), 2)
     monkeypatch.setattr(decoder, "MAX_PATH_ENTRIES", 4 * 32)
     scl_decode_batch(spec_h, x_h, 4)
     baseline_decode_batch(spec_b, x_b, 8)
@@ -1095,6 +1097,33 @@ def test_list_size_budget_counts_reachable_paths(monkeypatch):
     monkeypatch.setattr(decoder, "MAX_PATH_ENTRIES", 8 * 16 - 1)
     with pytest.raises(ValueError, match="list size"):
         baseline_decode_batch(spec_b, x_b, 2**40)
+
+
+def test_every_decoder_reads_only_outer_code_llrs():
+    # One input contract for both schemes and all three entry points: (frames, n/t, 2^t)
+    # symbol or (frames, n) bit LLRs, the r repeats already combined.
+    spec_h = spec_for(n=16, k=8, t=2, r=2)
+    spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
+    truth = np.zeros((2, 16), dtype=np.int8)
+    for spec, wrong in ((spec_b, np.ones((2, 32))), (spec_b, np.ones((2, 16, 1))),
+                        (spec_h, np.ones((2, 8, 2))), (spec_h, np.ones((2, 16)))):
+        decode = scl_decode_batch if spec.scheme == "hybrid" else baseline_decode_batch
+        for call in (lambda: decode(spec, wrong, 4), lambda: genie_first_errors(spec, wrong, truth)):
+            with pytest.raises(ValueError, match="decoder input has shape"):
+                call()
+
+
+def test_frame_batch_keeps_the_benchmark_batches():
+    # N = 8192 codes at L = 8 keep their chunks, one 512-trial construction batch
+    # stays whole, and an unpinned hybrid frame's coefficients and keys count at N = 2^21.
+    gf16, gf4, base = (spec_for(scheme=s, n=512, k=80, t=t, r=16)
+                       for s, t in (("hybrid", 4), ("hybrid", 2), ("polar_repetition", 1)))
+    assert decoder.frame_batch(gf16, 8, pinned=False) == 122
+    assert decoder.frame_batch(base, 8, pinned=False) == 488
+    assert decoder.frame_batch(gf4, 1, pinned=True) >= 512
+    long_gf4 = dataclasses.replace(gf4, r=4096)
+    assert decoder.frame_batch(long_gf4, 8, pinned=False) == 1
+    assert decoder.frame_batch(long_gf4, 8, True) == decoder.frame_batch(gf4, 8, True) == 244
 
 
 def test_decode_leaves_no_path_state_behind():
@@ -1108,7 +1137,7 @@ def test_decode_leaves_no_path_state_behind():
     gc.disable()
     try:
         scl_decode_batch(spec_h, rng.normal(size=(3, 8, 4)), 4)
-        baseline_decode_batch(spec_b, rng.normal(size=(3, 32)), 4)
+        baseline_decode_batch(spec_b, combine_baseline(rng.normal(size=(3, 32)), 2), 4)
         assert not any(isinstance(o, _PathState) for o in gc.get_objects())
     finally:
         gc.enable()
