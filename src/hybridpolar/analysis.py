@@ -15,8 +15,8 @@ executes: it skips rate-0 spans and decodes spans with no frozen bit in
 one step.
 
 Weight spectra are estimated by decoding an all-zero transmission at
-very high SNR with a large-list decoder, re-encoding every surviving
-path and recording nonzero codeword weights; the exhaustive encoder
+very high SNR with a large-list decoder and weighing the outer codeword
+it returns for every surviving path; the exhaustive encoder
 (:func:`brute_force_weights`) serves as ground truth on small codes.
 Both take a seed and weigh a hybrid code under the repetition
 multipliers :func:`pinned_coefficients` draws from it, so the two agree
@@ -113,20 +113,19 @@ _WEIGHT_CHUNK = 128
 _EXHAUSTIVE_GUARD = 20
 
 
-def _codeword_weights(u_rows, spec: CodeSpec, tables, coefficients) -> np.ndarray:
-    """Channel-bit weights of the codewords of (rows, n) u vectors.
+def _codeword_weights(outer, spec: CodeSpec, coefficients) -> np.ndarray:
+    """Channel-bit weights of (rows, n/t) outer codewords, or the baseline's (rows, n) bits.
 
     ``coefficients`` is the pinned (r-1, n/t) array every row shares (None for the baseline).
-    Only the outer code is encoded: outer symbol i of value v sends
-    W[i, v] = popcount(v) + sum_j popcount(rho_{j,i} * v) bits over its r repeats.
+    Outer symbol i of value v sends W[i, v] = popcount(v) + sum_j popcount(rho_{j,i} * v)
+    bits over its r repeats.
     """
     if spec.scheme != "hybrid":
-        return spec.r * _encoder.polar_transform(u_rows).sum(-1, dtype=np.int64)
-    n2 = spec.n // spec.t
+        return spec.r * np.sum(outer, axis=-1, dtype=np.int64)
+    n2, tables = spec.n // spec.t, spec.field_tables()
     popcount = unpack_symbol_array(np.arange(tables.q), spec.t).sum(-1, dtype=np.int64)
     table = popcount + popcount[tables.mul[coefficients]].sum(0)           # W, (n2, q)
-    z = _encoder.encode_stage2(_encoder.encode_stage1(u_rows, spec.t, spec.encoder_variant))
-    return table[np.arange(n2), z].sum(-1)
+    return table[np.arange(n2), outer].sum(-1)
 
 
 def _add_weights(hist: WeightHistogram, weights: np.ndarray) -> None:
@@ -142,11 +141,11 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
     surviving the list decode (no CRC filtering) is weighed under the
     coefficients pinned from ``seed`` and its nonzero bit weight
     recorded.  No dedup is needed: two paths differ at the bit where
-    their lineages split, and pruning only drops paths.  Only the outer
-    code is re-encoded; a per-symbol table gives each outer symbol's
-    bits over its r repeats.
+    their lineages split, and pruning only drops paths.  Nothing is
+    re-encoded: the decoder returns every path's outer codeword
+    (``all_x``), and a per-symbol table gives each outer symbol's bits
+    over its r repeats.
     """
-    tables = spec.field_tables()
     coefficients = pinned_coefficients(spec, seed)
     cfg = _channel.ChannelConfig(kind="awgn", ebn0_db=high_snr_db, rate=spec.rate)
     channel_input = _channel.transmit_frames(spec, cfg, np.zeros((1, spec.n), dtype=np.int8),
@@ -155,7 +154,7 @@ def enumerate_low_weight(spec: CodeSpec, list_size: int, high_snr_db: float,
     decode = _decoder.scl_decode_batch if hybrid else _decoder.baseline_decode_batch
     out = decode(spec, channel_input, list_size, crc_on=False, return_paths=True)
 
-    weights = _codeword_weights(out.all_u[0], spec, tables, coefficients)
+    weights = _codeword_weights(out.all_x[0], spec, coefficients)
     hist = WeightHistogram()
     _add_weights(hist, weights[weights > 0])
     return hist
@@ -174,7 +173,6 @@ def brute_force_weights(spec: CodeSpec, seed: int) -> WeightHistogram:
     if n_payload > _EXHAUSTIVE_GUARD:
         raise ValueError(f"k+p = {n_payload} exceeds the exhaustive guard "
                          f"of {_EXHAUSTIVE_GUARD}")
-    tables = spec.field_tables()
     coefficients = pinned_coefficients(spec, seed)
     hist = WeightHistogram()
     unfrozen = spec.unfrozen_indices()
@@ -182,7 +180,8 @@ def brute_force_weights(spec: CodeSpec, seed: int) -> WeightHistogram:
         msgs = np.arange(start, min(start + _WEIGHT_CHUNK, 1 << n_payload))
         u = np.zeros((len(msgs), spec.n), dtype=np.int8)
         u[:, unfrozen] = (msgs[:, None] >> np.arange(n_payload)) & 1
-        _add_weights(hist, _codeword_weights(u, spec, tables, coefficients))
+        outer = _encoder.encode_u_vector(u, spec)
+        _add_weights(hist, _codeword_weights(outer, spec, coefficients))
     return hist
 
 

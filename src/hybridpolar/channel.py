@@ -14,7 +14,8 @@ in this order: the caller's u vector, its repetition coefficients (unless
 pinned), its fading gains, its noise.  A helper thread draws the gains and noise
 of each frame, in order, after the calling thread has drawn every frame's
 coefficients; no generator is ever used by two threads, so no stream, and no
-output bit, depends on their timing.
+output bit, depends on their timing.  A call of one frame starts no thread: the
+calling thread makes the same draw itself.
 """
 
 from __future__ import annotations
@@ -173,23 +174,22 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
     """Encode, modulate and transmit a (frames, n) batch of u vectors into decoder input.
 
     ``rngs`` holds one generator per frame; hybrid frames draw their coefficients from it
-    unless ``pinned`` (r-1, n/t) fixes them.  Then a helper thread draws each frame's gains
-    and noise into a reused N-sample buffer, while this thread adds the samples of rho * c,
-    read from a table, forms the LLRs in place and sums the r repeats into the frame's row
-    of the (frames, n/t, 2^t) symbol LLRs (hybrid) or (frames, n) bit LLRs (baseline).
+    unless ``pinned`` (r-1, n/t) fixes them.  Then a helper thread (none for one frame) draws
+    each frame's gains and noise into a reused N-sample buffer, while this thread adds the
+    samples of rho * c, read from a table, forms the LLRs in place and sums the r repeats into
+    the frame's (frames, n/t, 2^t) symbol LLRs (hybrid) or (frames, n) bit LLRs (baseline).
     """
     hybrid = spec.scheme == "hybrid"
     _check_blocks(cfg, spec.N)
     t, poly = (spec.t, spec.primitive_poly) if hybrid else (1, None)
     q, n2 = 1 << t, spec.n // t
     tables = spec.field_tables() if hybrid else None
-    if hybrid and pinned is None:
-        coefficients = np.stack([_encoder.draw_coefficients(n2, spec.r, tables, rng)
-                                 for rng in rngs])
-    else:   # the baseline repeats with rho = 1
-        coefficients = np.asarray(pinned if hybrid else np.ones((spec.r - 1, n2), int))[None]
-    rho = _encoder.block_coefficients(coefficients, spec.r, n2, q)   # (frames or 1, r, n2)
-    keys = rho + q * np.arange(n2)   # the combine keys i*q + rho
+    rho = np.broadcast_to(1, (1, spec.r, n2))   # the baseline repeats with rho = 1
+    if hybrid:
+        coefficients = np.asarray(pinned)[None] if pinned is not None else np.stack(
+            [_encoder.draw_coefficients(n2, spec.r, tables, rng) for rng in rngs])
+        rho = _encoder.block_coefficients(coefficients, spec.r, n2, q)   # (frames or 1, r, n2)
+        keys = rho + q * np.arange(n2)   # the combine keys i*q + rho
     outer = q * _encoder.encode_u_vector(u, spec)   # c*q: row c*q + rho holds rho * c
     samples = _bpsk_table(t, poly)
     out = np.empty((len(rngs), n2, q) if hybrid else (len(rngs), spec.n))
@@ -199,7 +199,7 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
         free.put(slot)
     helper = threading.Thread(target=_draw_frames, args=(cfg, rngs, ring, free, ready),
                               daemon=True)
-    helper.start()
+    (helper.start if len(rngs) > 1 else helper.run)()   # one frame: drawn here, no thread
     try:
         for row in range(len(rngs)):
             x = np.take(samples, outer[row] + rho[row % len(rho)], axis=0).reshape(-1)
@@ -215,5 +215,6 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
             free.put(slot)
     finally:
         free.put(None)
-        helper.join()
+        if helper.ident is not None:
+            helper.join()
     return out

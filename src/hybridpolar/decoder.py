@@ -128,23 +128,30 @@ def stage2_plus(s_plus: np.ndarray, s_minus: np.ndarray) -> np.ndarray:
     return np.subtract(acc.T, acc[:1].T, order="C").reshape(np.shape(s_plus))
 
 
-def stage2_minus(s_plus: np.ndarray, s_minus: np.ndarray,
-                 u0: np.ndarray | int) -> np.ndarray:
+def stage2_minus(s_plus: np.ndarray, s_minus: np.ndarray, u0: np.ndarray | int,
+                 origin: np.ndarray | None = None) -> np.ndarray:
     """Variable-node update for the second input, given the decided first.
 
     out[s] = s_plus[u0^s] + s_minus[s] - s_plus[u0] - s_minus[0];
     entry 0 is exactly zero.  A scalar u0 = 0 (a frozen first input) needs no gather.
+    A parent map ``origin`` selects the paths of (frames, paths, ...) inputs within the take.
     """
     s_plus = np.asarray(s_plus, dtype=np.float64)
     s_minus = np.asarray(s_minus, dtype=np.float64)
     q = s_plus.shape[-1]
-    shifted = s_plus
-    if np.ndim(u0) or u0:
-        # One flat take of s_plus[..., u0 ^ s]: each row's offset plus u0 ^ s within the row.
-        # shifted[..., 0] is s_plus[u0 ^ 0] = s_plus[u0].
-        rows = q * np.arange(s_plus.size // q).reshape(s_plus.shape[:-1] + (1,))
-        shifted = np.take(s_plus, rows + (np.asarray(u0, dtype=np.int64)[..., None] ^ np.arange(q)))
-    return shifted + s_minus - shifted[..., :1] - s_minus[..., :1]
+    if np.ndim(u0) or u0 or origin is not None:
+        # One flat take of s_plus[..., u0 ^ s]: row i's offset q*i plus u0 ^ s is (q*i + u0) ^ s.
+        # out[..., 0] is s_plus[u0 ^ 0] = s_plus[u0].
+        rows = _gather_paths(q * np.arange(s_plus.size // q).reshape(s_plus.shape[:-1]), origin)
+        out = np.take(s_plus, (rows + u0)[..., None] ^ np.arange(q))
+        shifted0 = out[..., :1].copy()
+        s_minus = _gather_paths(s_minus, origin)   # after the take has freed its index
+        out += s_minus
+    else:
+        shifted0, out = s_plus[..., :1], s_plus + s_minus
+    out -= shifted0   # (a + b) - a0 - b0, the order of the unfused expression
+    out -= s_minus[..., :1]
+    return out
 
 
 def stage2_rate0_penalty(s: np.ndarray) -> np.ndarray:
@@ -212,9 +219,10 @@ def stage1_bit_llr(s: np.ndarray, u_prefix, i: int, t: int,
 class BatchDecodeResult:
     """Vectorised outcome for a batch of frames.
 
-    ``all_u`` / ``all_pm`` hold every surviving path (frames, paths, n)
-    when the decoder is asked to keep them, e.g. for weight-spectrum
-    enumeration.
+    When the decoder is asked to keep every surviving path, e.g. for weight-spectrum
+    enumeration, ``all_u`` holds their (frames, paths, n) u vectors, ``all_pm`` their
+    metrics and ``all_x`` their outer codewords, the decoder's own re-encoding: (frames,
+    paths, n/t) Stage-2 symbols for a hybrid code, (frames, paths, n) bits for the baseline.
     """
 
     u_hat: np.ndarray
@@ -223,6 +231,7 @@ class BatchDecodeResult:
     list_rank: np.ndarray
     all_u: np.ndarray | None = None
     all_pm: np.ndarray | None = None
+    all_x: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +304,10 @@ class _PathState:
         return bits, parent
 
 
-def _gather_paths(arr: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Select paths of (frames, paths, ...) ``arr`` by the flat parent map ``origin``."""
+def _gather_paths(arr: np.ndarray, origin: np.ndarray | None) -> np.ndarray:
+    """Select paths of (frames, paths, ...) ``arr`` by the flat parent map ``origin``, if any."""
+    if origin is None:
+        return arr
     return np.take(arr.reshape((-1,) + arr.shape[2:]), origin, axis=0)
 
 
@@ -308,10 +319,10 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
           first: int) -> np.ndarray:
     """Decode the span ``s`` (frames, paths, length, ...) whose first leaf is ``first``.
 
-    ``plus``/``minus`` are the kernel's check and variable updates, ``leaf(state, s, i)``
-    decides leaf i and ``rate0(s)`` prices an all-frozen span; ``node(state, s, first)``,
-    if not None, decides a span with no frozen bit in one step or returns None to recurse
-    without it, bit by bit, down to the leaves.  Returns the re-encoding.
+    ``plus``/``minus`` are the kernel's check and variable updates (``minus`` also selects the
+    paths the left child kept), ``leaf(state, s, i)`` decides leaf i, ``rate0(s)`` prices an
+    all-frozen span, and ``node(state, s, first)``, if not None, decides a span with no frozen
+    bit in one step or returns None to recurse bit by bit.  Returns the re-encoding.
     """
     genie = state.genie_u is not None
     erred = genie and (state.first_error >= 0).all()
@@ -331,17 +342,15 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
         node = None
     # The left half of the span carries the XOR of the two virtual
     # inputs, the right half the second one alone.
-    left_frozen = state.leaf_frozen[first:first + half].all()
+    left_frozen, origin = state.leaf_frozen[first:first + half].all(), None
     if left_frozen:
         x_left = 0   # the kernels take a scalar 0 for an all-zero first input
     else:
         epoch = len(state.origins)
         x_left = _span(state, plus(s[:, :, :half], s[:, :, half:]), plus, minus, leaf, rate0,
                        node, first)
-        origin = state.origin_since(epoch)
-        if origin is not None:
-            s = _gather_paths(s, origin)
-    s_right = minus(s[:, :, :half], s[:, :, half:], x_left)
+        origin = state.origin_since(epoch)   # minus reads these paths of s: no gathered copy
+    s_right = minus(s[:, :, :half], s[:, :, half:], x_left, origin)
     if left_frozen and not genie:   # the span's rate-0 penalty less the right child's
         state.pm += rate0(s) - rate0(s_right)
     epoch = len(state.origins)
@@ -360,8 +369,7 @@ def _symbol_leaf(block_map: np.ndarray, state: _PathState, s: np.ndarray,
     prefix = np.zeros(s.shape[:2], dtype=np.int64)
     for j in range(t):
         bits, origin = state.decide_bit(_stage1_bit(tree, prefix, j), i * t + j)
-        if origin is not None:
-            tree, prefix = _gather_paths(tree, origin), _gather_paths(prefix, origin)
+        tree, prefix = _gather_paths(tree, origin), _gather_paths(prefix, origin)
         prefix = prefix | (bits << j)
     return block_map[prefix]
 
@@ -381,30 +389,33 @@ def _symbol_node(inverse_map: np.ndarray, state: _PathState, s: np.ndarray,
     t, L, k = q.bit_length() - 1, state.L, min(state.L - 1, m)
     flat = s.reshape(-1, m, q)
     best = flat.argmin(axis=-1)                                        # (f*a, m)
-    low, second = np.sort(flat, axis=-1)[..., :2].transpose(2, 0, 1).copy()
+    low, second = np.partition(flat, 1, axis=-1)[..., :2].transpose(2, 0, 1).copy()
     order = np.argsort(second - low, axis=-1, kind="stable")
     ranked = np.sort(np.pad(second - low, ((0, 0), (1, 0))), axis=-1)   # 0, reliabilities
     if k < m and (ranked[:, k] == ranked[:, k + 1]).any():
         return None
-    pm, parent, vals = state.pm, np.arange(f * a).reshape(f, a), np.zeros((f, a, 0), int)
+    pm, parent, forks = state.pm, np.arange(f * a).reshape(f, a), []
     for j in range(k):
         sym = order[parent, j]
         pm = (pm[..., None] + flat[parent, sym] - low[parent, sym][..., None]).reshape(f, -1)
-        keep = np.broadcast_to(np.arange(pm.shape[1]), pm.shape)
+        keep = np.arange(pm.size)   # flat (frame, path, value) indices of the kept children
         if pm.shape[1] > L:
-            keep = np.argpartition(pm, (L - 1, L), axis=1)
-            edge = np.take_along_axis(pm, keep[:, L - 1:L + 1], axis=1)
-            if (edge[:, 0] == edge[:, 1]).any():
+            bound = np.partition(pm, L - 1, axis=1)
+            if (bound[:, L - 1] == bound[:, L:].min(axis=1)).any():   # L-th = (L+1)-th metric
                 return None
-            keep = keep[:, :L]
-            pm = np.take_along_axis(pm, keep, axis=1)
-        parent = np.take_along_axis(parent, keep // q, axis=1)
-        vals = np.concatenate([np.take_along_axis(vals, (keep // q)[..., None], axis=1),
-                               (keep % q)[..., None]], axis=-1)
+            keep = np.flatnonzero(pm <= bound[:, L - 1:L])   # L per frame, in list order
+            pm = np.take(pm, keep).reshape(f, L)
+        forks.append(np.divmod(keep, q))   # each kept child's flat parent index and value
+        parent = np.take(parent, forks[-1][0]).reshape(f, -1)
+    # Read the forked values back once, from the last fork to the first.
+    vals, idx = np.empty(parent.shape + (k,), dtype=np.int64), np.arange(parent.size)
+    for j in reversed(range(k)):
+        vals[..., j] = np.take(forks[j][1], idx).reshape(parent.shape)
+        idx = np.take(forks[j][0], idx)
     x = best[parent]                                                   # (f, paths, m)
     np.put_along_axis(x, order[parent, :k], vals, axis=-1)
     u = ((inverse_map[polar_transform(x)][..., None] >> np.arange(t)) & 1).reshape(-1, m * t)
-    rank = np.lexsort(np.vstack([u.T[::-1], parent.reshape(1, -1)]))
+    rank = np.lexsort(np.vstack([np.packbits(u, axis=-1).T[::-1], parent.reshape(1, -1)]))
     # Commit: one parent map, then one trace entry per bit (identity maps after the first).
     shape = pm.shape
     state.pm, parent = np.take(pm, rank).reshape(shape), np.take(parent, rank).reshape(shape)
@@ -424,8 +435,8 @@ def _f_bin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
 
 
-def _g_bin(a: np.ndarray, b: np.ndarray, u0: np.ndarray | int) -> np.ndarray:
-    return b + (1.0 - 2.0 * u0) * a
+def _g_bin(a: np.ndarray, b: np.ndarray, u0: np.ndarray | int, origin=None) -> np.ndarray:
+    return _gather_paths(b, origin) + (1.0 - 2.0 * u0) * _gather_paths(a, origin)
 
 
 def _rate0_bin(a: np.ndarray) -> np.ndarray:
@@ -433,10 +444,11 @@ def _rate0_bin(a: np.ndarray) -> np.ndarray:
     return np.maximum(-a, 0.0).sum(axis=-1)
 
 
-def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
+def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> np.ndarray:
     """Run the recursion of ``spec.scheme`` over (frames, n/t, 2^t) or (frames, n) LLRs.
 
-    The kernels are looked up at call time, so a wrapped module attribute is used.
+    Returns the final paths' outer codewords.  The kernels are looked up at call time, so a
+    wrapped module attribute is used.
     """
     root = np.asarray(channel_input, dtype=np.float64)
     shape = (spec.n // spec.t, 1 << spec.t) if spec.scheme == "hybrid" else (spec.n,)
@@ -450,19 +462,19 @@ def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> None:
             _symbol_node, np.argsort(block_map))
         frozen = state.frozen_mask.reshape(-1, spec.t)
         state.leaf_frozen, state.leaf_has_frozen = frozen.all(axis=1), frozen.any(axis=1)
-        _span(state, root[:, None], stage2_plus, stage2_minus, leaf, stage2_rate0_penalty,
-              node, 0)
-    else:
-        # No node: over scalar LLRs it saved no time, and its temporaries grew the heap.
-        _span(state, root[:, None], _f_bin, _g_bin, _bit_leaf, _rate0_bin, None, 0)
+        return _span(state, root[:, None], stage2_plus, stage2_minus, leaf,
+                     stage2_rate0_penalty, node, 0)
+    # No node: over scalar LLRs it saved no time, and its temporaries grew the heap.
+    return _span(state, root[:, None], _f_bin, _g_bin, _bit_leaf, _rate0_bin, None, 0)
 
 
 # ---------------------------------------------------------------------------
 # Public decoding entry points
 # ---------------------------------------------------------------------------
 
-def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
-              return_paths: bool) -> BatchDecodeResult:
+def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool, return_paths: bool,
+              x: np.ndarray | None = None) -> BatchDecodeResult:
+    """Select each frame's path; ``return_paths`` keeps every path and its codeword ``x``."""
     f = state.F
     pm = state.pm
     # Walk the decision trace back once, from the final paths to bit 0.
@@ -476,12 +488,8 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
         pass_mask = crc_check(u_all[:, :, spec.unfrozen_indices()], spec.crc_poly, spec.p)
     else:
         pass_mask = np.zeros(pm.shape, dtype=bool)
-    if crc_on and spec.p > 0:
-        ranked_pass = np.take_along_axis(pass_mask, order, axis=1)
-        has_pass = ranked_pass.any(axis=1)
-        rank = np.where(has_pass, np.argmax(ranked_pass, axis=1), 0)
-    else:
-        rank = np.zeros(f, dtype=np.int64)
+    # The best path that passes the CRC, or rank 0 if none does (argmax of all False).
+    rank = np.argmax(np.take_along_axis(pass_mask, order, axis=1) & crc_on, axis=1)
     rows = np.arange(f)
     chosen = order[rows, rank]
     return BatchDecodeResult(
@@ -491,6 +499,7 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool,
         list_rank=rank,
         all_u=u_all if return_paths else None,
         all_pm=pm if return_paths else None,
+        all_x=x if return_paths else None,
     )
 
 
@@ -528,8 +537,8 @@ def _list_decode(spec: "CodeSpec", channel_input: np.ndarray, list_size: int,
                  crc_on: bool, return_paths: bool) -> BatchDecodeResult:
     frame_path_entries(spec, list_size)
     state = _PathState(len(channel_input), spec.n, list_size, spec.frozen_mask())
-    _decode(spec, state, channel_input)
-    return _finalize(spec, state, crc_on, return_paths)
+    x = _decode(spec, state, channel_input)
+    return _finalize(spec, state, crc_on, return_paths, x)
 
 
 def scl_decode_batch(spec: "CodeSpec", s_inner: np.ndarray, list_size: int,

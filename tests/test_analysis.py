@@ -7,6 +7,7 @@ from hybridpolar.analysis import (_WEIGHT_CHUNK, WeightHistogram, _codeword_weig
                                   enumerate_low_weight, pinned_coefficients, q_function,
                                   union_bound)
 from hybridpolar.codespec import CodeSpec, default_frozen_set
+from hybridpolar.encoder import encode_u_vector
 
 CRC6 = 0b1000011
 
@@ -134,7 +135,7 @@ def test_codeword_weights_match_per_row_oracle(scheme, t, r, rows):
                                                                 dtype=np.int8)
     rho = pinned_coefficients(spec, 5)
     expected = [oracles.codeword_weight(row, spec, tables, rho) for row in u]
-    assert _codeword_weights(u, spec, tables, rho).tolist() == expected
+    assert _codeword_weights(encode_u_vector(u, spec), spec, rho).tolist() == expected
 
 
 @pytest.mark.parametrize("scheme,t,r", [("hybrid", 2, 4), ("hybrid", 4, 3),

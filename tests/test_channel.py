@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,3 +433,45 @@ def test_traced_layers_run_on_the_calling_thread(scheme, t, kind, pin, monkeypat
     assert "encoder.encode_u_vector" in seen
     assert all(threads == {caller} for threads in seen.values()), seen
     assert caller not in draws and len(draws) == 1
+
+
+@pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
+@pytest.mark.parametrize("pin", [False, True])
+def test_one_frame_starts_no_thread(scheme, t, kind, pin, monkeypatch):
+    # A one-frame call makes the helper's draw on the calling thread, before its loop:
+    # the same bytes as the single-frame chain and as the first row of a threaded call,
+    # and a failing draw still raises its own error.
+    spec, cfg = pipeline_case(scheme, t, kind)
+    pinned = pinned_coefficients(spec, 5) if pin else None
+    u, rngs = frame_generators(spec, 2)
+    threaded = transmit_frames(spec, cfg, u, rngs, pinned)[:1]
+    u, rngs = frame_generators(spec, 1)
+    reference = frame_by_frame(spec, cfg, u, rngs, pinned)
+
+    def refuse(self):
+        raise AssertionError("a one-frame call started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    u, rngs = frame_generators(spec, 1)
+    out = transmit_frames(spec, cfg, u, rngs, pinned)
+    assert out.tobytes() == reference.tobytes() == threaded.tobytes()
+    u, rngs = frame_generators(spec, 1)
+    with pytest.raises(RuntimeError, match="noise draw failed"):
+        transmit_frames(spec, cfg, u, [FailingNoise(rngs[0])], pinned)
+
+
+def test_a_baseline_frame_holds_three_frame_sized_arrays():
+    # One baseline frame at N = 2^21 holds its noise buffer, its sample index and its
+    # samples (16 MiB each); it builds no ones, rho or combine-key array of N entries.
+    spec = CodeSpec(scheme="polar_repetition", n=512, k=64, t=1, r=4096, p=0, crc_poly=0,
+                    frozen_set=default_frozen_set(512, 64, 0), design_snr=1.0)
+    cfg = ChannelConfig("awgn", ebn0_db=1.0, rate=spec.rate)
+    u, rngs = frame_generators(spec, 1)
+    tracemalloc.start()
+    try:
+        out = transmit_frames(spec, cfg, u, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 512)
+    assert peak < 4 * spec.N * 8

@@ -275,6 +275,21 @@ def test_stage2_minus_of_a_scalar_zero_is_the_all_zero_result(q):
     assert _g_bin(a, b, 0).tobytes() == _g_bin(a, b, np.zeros(a.shape, dtype=np.int8)).tobytes()
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 16])
+def test_minus_kernels_select_paths_as_a_gather_would(q):
+    # _span hands the variable update the parent's halves and the left child's parent map:
+    # the result is the update of the gathered halves, byte for byte, also for u0 = 0.
+    rng = np.random.default_rng(80 + q)
+    s = rng.normal(size=(3, 4, 10, q))
+    kernel, u0 = stage2_minus, rng.integers(0, q, size=(3, 7, 5))
+    if q == 1:   # the baseline kernel over scalar LLRs, with decided bits
+        s, kernel, u0 = s[..., 0], _g_bin, rng.integers(0, 2, size=(3, 7, 5))
+    a, b, origin = s[:, :, :5], s[:, :, 5:], rng.integers(0, 12, size=(3, 7))
+    for u in (u0, 0):
+        expected = kernel(_gather_paths(a, origin), _gather_paths(b, origin), u)
+        assert kernel(a, b, u, origin).tobytes() == expected.tobytes()
+
+
 def test_stage2_vectorised_over_leading_axes():
     rng = np.random.default_rng(3)
     sp = rng.normal(size=(3, 5, 4))
@@ -720,6 +735,63 @@ def test_symbol_node_decodes_as_the_recursion(seed, frozen, t, variant, list_siz
     for field in ("chosen_pm", "all_pm"):
         np.testing.assert_allclose(getattr(fast, field), getattr(slow, field),
                                    rtol=PM_TOL, atol=PM_TOL, err_msg=field)
+
+
+@pytest.mark.parametrize("t", [2, 4])
+@pytest.mark.parametrize("list_size", [64, 256])
+@pytest.mark.parametrize("frames", [1, 2])
+def test_symbol_node_decodes_as_the_recursion_at_a_wide_list(t, list_size, frames):
+    # Bit 0 alone is frozen, so the left half of the code grows a full list of L paths and
+    # the right half, with no frozen bit, reaches the node with all of them: every fork
+    # prunes q * L children back to L, and all m symbols fork (K = min(L - 1, m) = m).
+    spec = spec_for(n=32, k=31, t=t, r=2, frozen=[0])
+    x = random_decoder_input(spec, np.random.default_rng(100 * t + list_size + frames), frames)
+    wide, node = [], decoder._symbol_node
+
+    def spy(inverse_map, state, s, first):
+        out = node(inverse_map, state, s, first)
+        wide.append(out is not None and s.shape[1] == list_size)
+        return out
+
+    with mock.patch.object(decoder, "_symbol_node", spy):
+        fast = scl_decode_batch(spec, x, list_size, crc_on=False, return_paths=True)
+    with mock.patch.object(decoder, "_symbol_node", lambda *args: None):
+        slow = scl_decode_batch(spec, x, list_size, crc_on=False, return_paths=True)
+    assert any(wide)
+    for field in ("u_hat", "list_rank", "all_u", "all_x"):
+        assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
+    for field in ("chosen_pm", "all_pm"):
+        np.testing.assert_allclose(getattr(fast, field), getattr(slow, field),
+                                   rtol=PM_TOL, atol=PM_TOL, err_msg=field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32),
+       family=st.sampled_from([("hybrid", 1), ("hybrid", 2), ("hybrid", 4),
+                               ("polar_repetition", 1)]),
+       variant=st.sampled_from(["flat", "recursive"]), list_size=st.sampled_from([1, 4, 64]),
+       frames=st.integers(1, 3), integer=st.booleans(), data=st.data())
+def test_returned_codewords_are_the_paths_encodings(seed, frozen, family, variant, list_size,
+                                                    frames, integer, data):
+    # all_x is the decoder's own re-encoding of every survivor: the outer codeword of its
+    # u vector, row by row.  A span of 2 * size bits whose left half is frozen is added,
+    # and integer LLRs in -2..2 make the node fall back on ties.
+    scheme, t = family
+    variant = variant if scheme == "hybrid" else "flat"
+    size = 1 << data.draw(st.integers(0, 3))
+    start = 2 * size * data.draw(st.integers(0, 32 // (2 * size) - 1))
+    frozen = sorted(set(frozen) | set(range(start, start + size)))
+    spec = spec_for(scheme=scheme, n=32, k=32 - len(frozen), t=t, r=2, variant=variant,
+                    frozen=frozen)
+    rng = np.random.default_rng(seed)
+    x = random_decoder_input(spec, rng, frames)
+    if integer:
+        x = rng.integers(-2, 3, size=x.shape).astype(np.float64)
+    decode = scl_decode_batch if scheme == "hybrid" else baseline_decode_batch
+    out = decode(spec, x, list_size, crc_on=False, return_paths=True)
+    assert out.all_x.shape == out.all_u.shape[:2] + (spec.n // t,)
+    assert np.array_equal(out.all_x, enc.encode_u_vector(out.all_u, spec))
+    assert decode(spec, x, list_size).all_x is None
 
 
 @pytest.mark.parametrize("t", [1, 2, 4])
