@@ -158,6 +158,7 @@ def pinned_coefficients(spec: "CodeSpec", seed: int) -> np.ndarray | None:
 
 
 _RING = 4   # N-sample noise buffers in flight between the two threads
+_RING_SAMPLES = 1 << 24   # most samples in the ring: a frame of N = 2^24 gets one buffer
 
 
 def _draw_frames(cfg: ChannelConfig, rngs, ring: np.ndarray, free, ready) -> None:
@@ -181,9 +182,8 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
     """
     hybrid = spec.scheme == "hybrid"
     _check_blocks(cfg, spec.N)
-    t, poly = (spec.t, spec.primitive_poly) if hybrid else (1, None)
-    q, n2 = 1 << t, spec.n // t
-    tables = spec.field_tables() if hybrid else None
+    tables = spec.field_tables()
+    q, n2 = tables.q, spec.n // spec.t
     rho = np.broadcast_to(1, (1, spec.r, n2))   # the baseline repeats with rho = 1
     if hybrid:
         coefficients = np.asarray(pinned)[None] if pinned is not None else np.stack(
@@ -191,9 +191,9 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
         rho = _encoder.block_coefficients(coefficients, spec.r, n2, q)   # (frames or 1, r, n2)
         keys = rho + q * np.arange(n2)   # the combine keys i*q + rho
     outer = q * _encoder.encode_u_vector(u, spec)   # c*q: row c*q + rho holds rho * c
-    samples = _bpsk_table(t, poly)
+    samples = _bpsk_table(spec.t, spec.primitive_poly)
     out = np.empty((len(rngs), n2, q) if hybrid else (len(rngs), spec.n))
-    ring = np.empty((min(_RING, len(rngs)), spec.N))
+    ring = np.empty((min(_RING, len(rngs), max(1, _RING_SAMPLES // spec.N)), spec.N))
     free, ready = queue.SimpleQueue(), queue.SimpleQueue()
     for slot in range(len(ring)):
         free.put(slot)

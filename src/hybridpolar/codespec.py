@@ -75,6 +75,8 @@ class CodeSpec:
             fail("n", f"{self.n} exceeds the decoder's {_decoder.MAX_PATH_ENTRIES} LLRs per frame")
         if self.t not in SUPPORTED_DEGREES:
             fail("t", f"{self.t} not in {SUPPORTED_DEGREES}")
+        if self.scheme == "polar_repetition" and self.t != 1:
+            fail("t", f"the polar_repetition scheme is binary, so t must be 1, not {self.t}")
         if self.n % self.t or (self.n // self.t) & (self.n // self.t - 1):
             fail("t", f"n/t must be a power of two (n={self.n}, t={self.t})")
         if self.r < 1:
@@ -97,8 +99,10 @@ class CodeSpec:
             fail("frozen_set", "duplicate indices")
         if self.encoder_variant not in ENCODER_VARIANTS:
             fail("encoder_variant", f"must be one of {ENCODER_VARIANTS}")
-        if self.primitive_poly.bit_length() != self.t + 1:
-            fail("primitive_poly", f"0x{self.primitive_poly:x} does not have degree {self.t}")
+        try:
+            self.field_tables()
+        except ValueError as exc:
+            fail("primitive_poly", str(exc))
 
     @property
     def N(self) -> int:

@@ -24,9 +24,9 @@ so the decoders read outer-code LLRs only.  Of a hybrid frame's four parts, it r
    with no frozen bit is listed in one step (:func:`_symbol_node`): the
    paths fork q ways on their least reliable symbols only, and an exact
    tie sends the subtree back to the bit-by-bit recursion, so decisions
-   do not change.  Decisions are stored once with their parent pointers,
-   not copied per path, and one backtrack at the end reads out every
-   survivor.
+   do not change.  Decisions are not copied per path: each bit's, or each
+   listed span's, block of decisions is logged once with its parent map,
+   and one backtrack at the end reads out every survivor.
 
 One recursion, :func:`_span`, serves both schemes: the baseline polar-repetition
 scheme swaps in scalar LLRs and binary kernels (min-sum f/g, one-bit leaf, rate-0 penalty).
@@ -241,12 +241,11 @@ class BatchDecodeResult:
 class _PathState:
     """Per-decode bookkeeping of the recursion, the same for both schemes.
 
-    Paths live on axis 1 of every array.  Whenever the list branches or
-    is pruned, the parent map is appended to ``origins`` so that
-    recursion frames holding older arrays can re-gather them lazily.  A parent
-    map indexes the flattened (frames * paths) axes, so maps compose by ``np.take``.
-    Each unfrozen decision is appended to ``trace`` as (bit index, bits,
-    parent map), the Tal-Vardy path memory that _finalize walks back.
+    Paths live on axis 1 of every array.  ``trace`` is the Tal-Vardy path memory: each
+    listed decision appends one block (first bit, (frames * paths, width) bits, parent map),
+    one bit from :meth:`decide_bit`, a whole span from :func:`_symbol_node`.  A parent map
+    indexes the flattened (frames * paths) axes, so maps compose by ``np.take``: recursion
+    frames holding older arrays re-gather them lazily, and _finalize walks the log back.
     A set ``genie_u`` makes a genie pass: decisions corrected to the truth, no metric.
     """
 
@@ -260,7 +259,6 @@ class _PathState:
         self.leaf_frozen = self.leaf_has_frozen = frozen_mask
         self.pm = np.zeros((n_frames, 1))
         self.trace: list[tuple] = []
-        self.origins: list[np.ndarray] = []
         self.genie_u = genie_u
         self.first_error = np.full(n_frames, -1, dtype=np.int64)
 
@@ -270,9 +268,10 @@ class _PathState:
 
     def origin_since(self, epoch: int) -> np.ndarray | None:
         """Composed parent map from the current paths back to ``epoch``."""
-        if len(self.origins) == epoch:
+        if len(self.trace) == epoch:
             return None
-        return functools.reduce(np.take, self.origins[epoch + 1:], self.origins[epoch])
+        return functools.reduce(np.take, [entry[2] for entry in self.trace[epoch + 1:]],
+                                self.trace[epoch][2])
 
     def decide_bit(self, s_b: np.ndarray, global_idx: int):
         """Decide bit ``global_idx`` from its per-path LLRs.
@@ -299,8 +298,7 @@ class _PathState:
         parent = keep >> 1
         bits = keep & 1
         self.pm = np.take(pm2, keep)
-        self.trace.append((global_idx, bits, parent))
-        self.origins.append(parent)
+        self.trace.append((global_idx, bits.reshape(-1, 1), parent))
         return bits, parent
 
 
@@ -346,14 +344,14 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
     if left_frozen:
         x_left = 0   # the kernels take a scalar 0 for an all-zero first input
     else:
-        epoch = len(state.origins)
+        epoch = len(state.trace)
         x_left = _span(state, plus(s[:, :, :half], s[:, :, half:]), plus, minus, leaf, rate0,
                        node, first)
         origin = state.origin_since(epoch)   # minus reads these paths of s: no gathered copy
     s_right = minus(s[:, :, :half], s[:, :, half:], x_left, origin)
     if left_frozen and not genie:   # the span's rate-0 penalty less the right child's
         state.pm += rate0(s) - rate0(s_right)
-    epoch = len(state.origins)
+    epoch = len(state.trace)
     x_right = _span(state, s_right, plus, minus, leaf, rate0, node, first + half)
     origin = state.origin_since(epoch)
     if origin is not None and not left_frozen:
@@ -414,16 +412,13 @@ def _symbol_node(inverse_map: np.ndarray, state: _PathState, s: np.ndarray,
         idx = np.take(forks[j][0], idx)
     x = best[parent]                                                   # (f, paths, m)
     np.put_along_axis(x, order[parent, :k], vals, axis=-1)
-    u = ((inverse_map[polar_transform(x)][..., None] >> np.arange(t)) & 1).reshape(-1, m * t)
+    u = (inverse_map[polar_transform(x)][..., None] >> np.arange(t, dtype=np.int8)) & 1
+    u = u.reshape(-1, m * t)
     rank = np.lexsort(np.vstack([np.packbits(u, axis=-1).T[::-1], parent.reshape(1, -1)]))
-    # Commit: one parent map, then one trace entry per bit (identity maps after the first).
+    # Commit: one log entry, the span's m*t bits of each path with its parent.
     shape = pm.shape
     state.pm, parent = np.take(pm, rank).reshape(shape), np.take(parent, rank).reshape(shape)
-    state.origins.append(parent)
-    bits = np.ascontiguousarray(u[rank].T, dtype=np.int8).reshape((m * t,) + shape)
-    identity = np.arange(rank.size).reshape(shape)
-    for d in range(m * t):
-        state.trace.append((first * t + d, bits[d], parent if d == 0 else identity))
+    state.trace.append((first * t, u[rank], parent))
     return np.take(x.reshape(-1, m), rank, axis=0).reshape(shape + (m,))
 
 
@@ -459,7 +454,7 @@ def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> np.ndarray:
         leaf = functools.partial(_symbol_leaf, block_map)
         # A genie pass corrects every bit, so it stays on the recursion.
         node = None if state.genie_u is not None else functools.partial(
-            _symbol_node, np.argsort(block_map))
+            _symbol_node, np.argsort(block_map).astype(np.int8))   # int8: the node logs u in it
         frozen = state.frozen_mask.reshape(-1, spec.t)
         state.leaf_frozen, state.leaf_has_frozen = frozen.all(axis=1), frozen.any(axis=1)
         return _span(state, root[:, None], stage2_plus, stage2_minus, leaf,
@@ -477,11 +472,11 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool, return_paths: b
     """Select each frame's path; ``return_paths`` keeps every path and its codeword ``x``."""
     f = state.F
     pm = state.pm
-    # Walk the decision trace back once, from the final paths to bit 0.
+    # Walk the decision log back once, from the final paths to bit 0.
     u_all = np.zeros((f, state.paths, state.n), dtype=np.int8)
-    idx = np.arange(pm.size).reshape(pm.shape)
-    for global_idx, bits, parent in reversed(state.trace):
-        u_all[:, :, global_idx] = np.take(bits, idx)
+    u_flat, idx = u_all.reshape(pm.size, state.n), np.arange(pm.size)
+    for start, bits, parent in reversed(state.trace):
+        u_flat[:, start:start + bits.shape[1]] = bits[idx]
         idx = np.take(parent, idx)
     order = np.argsort(pm, axis=1, kind="stable")
     if spec.p > 0:

@@ -418,6 +418,17 @@ def test_roundtrip_smoke(tmp_path, constructed, capsys):
     assert "0 frame errors" in capsys.readouterr().out
 
 
+def test_a_baseline_over_a_larger_field_fails_with_one_line(capsys, tmp_path):
+    # The polar repetition scheme is binary; a config with t = 4 must not write a
+    # spec, or a CSV row, that reports a field its frames never used.
+    cfg_path = write_config(tmp_path, edit_config(BASE_CONFIG, scheme="polar_repetition", t=4))
+    spec_path = tmp_path / "code.spec"
+    assert cli.main(["construct", str(cfg_path), "-o", str(spec_path), "--trials", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: invalid CodeSpec field 't'"), err
+    assert not spec_path.exists()
+
+
 def test_missing_file_is_diagnosed(capsys, tmp_path):
     assert cli.main(["simulate", str(tmp_path / "nope.cfg"),
                      "--spec", str(tmp_path / "nope.spec")]) == 1
@@ -530,24 +541,31 @@ def test_a_huge_repetition_fails_with_one_line(tmp_path, command, scheme, t, r):
                                   f"exceeds {MAX_FRAME_SAMPLES}")
 
 
-@pytest.mark.parametrize("command,scheme,t", [("construct", "polar_repetition", 1),
-                                              ("simulate", "hybrid", 2)])
-def test_a_long_frame_runs_under_the_memory_cap(tmp_path, command, scheme, t):
+@pytest.mark.parametrize("command,scheme,t,r", [
+    pytest.param("construct", "polar_repetition", 1, 4096, id="construct-polar_repetition-1"),
+    pytest.param("simulate", "hybrid", 2, 4096, id="simulate-hybrid-2"),
+    pytest.param("construct", "polar_repetition", 1, 32768,
+                 id="construct-polar_repetition-1-r32768"),
+    pytest.param("construct", "hybrid", 2, 32768, id="construct-hybrid-2-r32768"),
+])
+def test_a_long_frame_runs_under_the_memory_cap(tmp_path, command, scheme, t, r):
     # N = 2^21: baseline trials hold no (trials, N) array, and an unpinned hybrid
     # chunk is sized by its per-frame coefficients and keys (a 64-frame chunk of
-    # them would need about 1.5 GiB).
-    text = edit_config(PAPER_CONFIG, scheme=scheme, t=t, r=4096)
+    # them would need about 1.5 GiB).  N = 2^24, the longest frame a spec accepts:
+    # the channel's noise ring holds one N-sample buffer, not four.
+    text = edit_config(PAPER_CONFIG, scheme=scheme, t=t, r=r)
     cfg_path = write_config(tmp_path, text)
     spec_path = tmp_path / "code.spec"
     if command == "simulate":
         save_spec(cli.parse_config(cfg_path).code, spec_path)
-    args = {"construct": ["construct", str(cfg_path), "-o", str(spec_path), "--trials", "64"],
+    trials = "64" if r == 4096 else "4"
+    args = {"construct": ["construct", str(cfg_path), "-o", str(spec_path), "--trials", trials],
             "simulate": ["simulate", str(cfg_path), "--spec", str(spec_path),
                          "-o", str(tmp_path / "s.csv")]}[command]
     proc = run_capped(args)
     assert proc.returncode == 0, proc.stderr
     if command == "construct":
-        assert load_spec(spec_path).N == 512 * 4096
+        assert load_spec(spec_path).N == 512 * r
     else:
         assert (tmp_path / "s.csv").read_text().splitlines()[1].split(",")[11] == "64"
 

@@ -38,6 +38,27 @@ def test_rejects_non_power_of_two_n():
         valid_spec(n=24, frozen_set=default_frozen_set(24, 12, 6))
 
 
+def test_rejects_a_baseline_over_a_larger_field():
+    # The polar repetition scheme is binary: a t that it would ignore is refused.
+    assert valid_spec(scheme="polar_repetition", t=1).primitive_poly == 0b11
+    for t in (2, 4):
+        with pytest.raises(ValueError, match="^invalid CodeSpec field 't'"):
+            valid_spec(scheme="polar_repetition", t=t)
+
+
+@pytest.mark.parametrize("scheme,t,poly", [("hybrid", 4, 0b11111), ("hybrid", 2, 0b101),
+                                           ("polar_repetition", 1, 0b10)])
+def test_load_rejects_a_non_primitive_polynomial(tmp_path, scheme, t, poly):
+    # Each modulus has degree t but no primitive root alpha: refused at load, for both
+    # schemes, and not first by the channel of the first frame.
+    path = tmp_path / "code.spec"
+    save_spec(valid_spec(scheme=scheme, t=t), path)
+    path.write_text(re.sub(r"primitive_poly = \w+", f"primitive_poly = {poly:#x}",
+                           path.read_text()))
+    with pytest.raises(ValueError, match="^invalid CodeSpec field 'primitive_poly'"):
+        load_spec(path)
+
+
 def test_rejects_more_channel_samples_than_the_bound():
     widest = MAX_FRAME_SAMPLES // 32
     assert valid_spec(r=widest).N == MAX_FRAME_SAMPLES
@@ -113,7 +134,8 @@ def test_save_load_roundtrip(tmp_path):
 @st.composite
 def any_specs(draw):
     """Valid specs of both schemes: any frozen-set size, p in {0, 3, 6}, any finite SNR."""
-    t = draw(st.sampled_from([1, 2, 4]))
+    scheme = draw(st.sampled_from(["hybrid", "polar_repetition"]))
+    t = draw(st.sampled_from([1, 2, 4])) if scheme == "hybrid" else 1
     n = draw(st.sampled_from([8, 16, 32, 64]))
     p = draw(st.sampled_from([0, 3, 6]))
     crc_poly = (1 << p) | draw(st.integers(0, (1 << p) - 1)) if p else draw(st.integers(0, 255))
@@ -121,9 +143,8 @@ def any_specs(draw):
     # -0.0 must keep its sign, 0.1 + 0.2 needs all 17 significant digits, 5e-324 is subnormal.
     snr = draw(st.one_of(st.sampled_from([-0.0, 0.1 + 0.2, 5e-324]),
                          st.floats(allow_nan=False, allow_infinity=False)))
-    return CodeSpec(scheme=draw(st.sampled_from(["hybrid", "polar_repetition"])), n=n,
-                    k=n - p - len(frozen), t=t, r=draw(st.integers(1, 16)), p=p,
-                    crc_poly=crc_poly, frozen_set=frozen, design_snr=snr,
+    return CodeSpec(scheme=scheme, n=n, k=n - p - len(frozen), t=t, r=draw(st.integers(1, 16)),
+                    p=p, crc_poly=crc_poly, frozen_set=frozen, design_snr=snr,
                     encoder_variant=draw(st.sampled_from(["flat", "recursive"])))
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from decode_corpus import PM_TOL
 from hybridpolar import channel as ch
 from hybridpolar import decoder
 from hybridpolar import encoder as enc
-from hybridpolar.codespec import CodeSpec, default_frozen_set
+from hybridpolar.codespec import CodeSpec, default_frozen_set, load_spec
 from hybridpolar.decoder import (_f_bin, _finalize, _g_bin, _gather_paths, _PathState,
                                  _rate0_bin, baseline_decode_batch, combine_baseline,
                                  combine_repetitions, genie_first_errors, scl_decode_batch,
@@ -499,9 +500,49 @@ def test_pruning_keeps_l_smallest_with_stable_ties():
     bits, _ = state2.decide_bit(np.array([[0.0, 0.0]]), 1)
     assert np.allclose(state2.pm, 0.0)
     # survivors are the first two children in index order
-    assert list(state2.origins[-1][0]) == [0, 0]
+    assert list(state2.trace[-1][2][0]) == [0, 0]
     out = _finalize(spec, state2, crc_on=False, return_paths=True)
     assert out.all_u.tolist() == [[[0, 0, 0, 0], [0, 1, 0, 0]]]
+
+
+def test_finalize_reads_bit_and_block_entries_back():
+    # A hand-built log of two frames at L = 2: bit 0, then bits 1-3 as one block,
+    # as _symbol_node logs a span, then bit 4; bits 5-7 are frozen.  Frame 0's
+    # block keeps only children of path 1 (a prune), frame 1's keeps both paths.
+    spec = spec_for(scheme="polar_repetition", n=8, k=8, t=1, r=1)
+    state = _PathState(2, 8, 2, np.zeros(8, dtype=bool))
+    state.trace = [
+        (0, np.array([[0], [1], [0], [1]]), np.array([[0, 0], [1, 1]])),
+        (1, np.array([[0, 1, 1], [1, 0, 0], [1, 1, 0], [0, 0, 1]]), np.array([[1, 1], [2, 3]])),
+        (4, np.array([[1], [0], [0], [1]]), np.array([[0, 1], [2, 3]])),
+    ]
+    state.pm = np.array([[0.5, 0.2], [0.1, 0.3]])
+    assert np.array_equal(state.origin_since(1), [[1, 1], [2, 3]])
+    out = _finalize(spec, state, crc_on=False, return_paths=True)
+    assert out.all_u.tolist() == [[[1, 0, 1, 1, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0]],
+                                  [[0, 1, 1, 0, 0, 0, 0, 0], [1, 0, 0, 1, 1, 0, 0, 0]]]
+    assert out.u_hat.tolist() == [[1, 1, 0, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0, 0]]
+    assert out.list_rank.tolist() == [0, 0] and out.chosen_pm.tolist() == [0.2, 0.1]
+
+
+def test_a_listed_span_is_one_log_entry(monkeypatch):
+    # With the GF(16), n = 512 benchmark code's frozen set, the 86 unfrozen bits are
+    # logged as 8 entries: each node call writes one block, each other bit one entry.
+    spec = load_spec(Path(__file__).resolve().parent.parent / "perfbench/specs/gf16_n512.spec")
+    entries, finalize = [], decoder._finalize
+
+    def spy(spec, state, *args):
+        entries.append(state.trace)
+        return finalize(spec, state, *args)
+
+    monkeypatch.setattr(decoder, "_finalize", spy)
+    s = np.random.default_rng(23).normal(0.0, 2.0, size=(2, spec.n // spec.t, 16))
+    scl_decode_batch(spec, s, 8)
+    (trace,) = entries
+    assert len(trace) == 8
+    assert sum(bits.shape[1] for _, bits, _ in trace) == spec.k + spec.p == 86
+    unfrozen = [start + d for start, bits, _ in trace for d in range(bits.shape[1])]
+    assert unfrozen == spec.unfrozen_indices().tolist()
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (3, 5, 7), (3, 5, 4, 6)])
@@ -542,7 +583,7 @@ def test_origin_since_matches_per_frame_composition(seed, list_size, epoch):
     for i in range(5):
         widths.append(state.paths)
         state.decide_bit(rng.normal(0.0, 2.0, size=(3, widths[-1])), i)
-        per_frame.append(state.origins[-1] - widths[-1] * rows)
+        per_frame.append(state.trace[-1][2] - widths[-1] * rows)
         assert ((per_frame[-1] >= 0) & (per_frame[-1] < widths[-1])).all()
     assert state.paths == list_size
     expected = per_frame[epoch]
@@ -665,14 +706,11 @@ def test_symbol_node_matches_span_enumeration(seed, t, variant, m, list_size, pa
     state = node_state(frames, pm, list_size, (first + m) * t)
     x = decoder._symbol_node(np.argsort(enc.stage1_block_map(t, variant)), state, s, first)
     if x is None:
-        assert integer and state.pm is pm and state.trace == [] and state.origins == []
+        assert integer and state.pm is pm and state.trace == []
         return
-    (parent,) = state.origins
-    assert [entry[0] for entry in state.trace] == list(range(first * t, (first + m) * t))
-    assert state.trace[0][2] is parent
-    for _, _, origin in state.trace[1:]:
-        assert np.array_equal(origin, np.arange(origin.size).reshape(origin.shape))
-    u = np.stack([bits for _, bits, _ in state.trace], axis=-1)
+    ((start, u, parent),) = state.trace   # one entry: the span's m*t bits per path
+    assert start == first * t and u.shape == (parent.size, m * t)
+    u = u.reshape(parent.shape + (m * t,))
     for g in range(frames):
         metric, from_path, u_top, x_top, unique = oracles.span_top_list(
             s[g], pm[g], list_size, t, variant)
@@ -691,11 +729,11 @@ def test_symbol_node_matches_span_enumeration(seed, t, variant, m, list_size, pa
 def test_symbol_node_fallback_writes_nothing(list_size, s, pm):
     pm, before = np.array(pm), np.array(pm)
     state = node_state(1, pm, list_size, 8)
-    trace, origins = [(0, np.zeros((1, 1)), np.zeros((1, 1)))], [np.zeros((1, 1))]
-    state.trace, state.origins = list(trace), list(origins)
+    trace = [(0, np.zeros((1, 1)), np.zeros((1, 1)))]
+    state.trace = list(trace)
     assert decoder._symbol_node(np.arange(2), state, np.array(s, dtype=float)[None], 2) is None
     assert state.pm is pm and np.array_equal(pm, before)
-    assert state.trace == trace and state.origins == origins
+    assert state.trace == trace
 
 
 @settings(max_examples=60, deadline=None)
