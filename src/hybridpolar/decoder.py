@@ -29,7 +29,9 @@ so the decoders read outer-code LLRs only.  Of a hybrid frame's four parts, it r
    and one backtrack at the end reads out every survivor.
 
 One recursion, :func:`_span`, serves both schemes: the baseline polar-repetition
-scheme swaps in scalar LLRs and binary kernels (min-sum f/g, one-bit leaf, rate-0 penalty).
+scheme swaps in scalar LLRs and binary kernels (min-sum f/g, one-bit leaf, rate-0 penalty),
+and the same :func:`_symbol_node` lists its spans with no frozen bit over bit LLRs.
+A genie pass corrects every decision, so it always goes bit by bit.
 
 Everything here is vectorised across list paths and across a batch of
 independent frames: one decoder invocation carries arrays shaped
@@ -374,28 +376,39 @@ def _symbol_leaf(block_map: np.ndarray, state: _PathState, s: np.ndarray,
 
 def _symbol_node(inverse_map: np.ndarray, state: _PathState, s: np.ndarray,
                  first: int) -> np.ndarray | None:
-    """List the span ``s`` of Stage-2 symbols, none with a frozen bit, in one step.
+    """List the span ``s`` of Stage-2 symbols or of bits, none frozen, in one step.
 
-    A path's metric grows by sum_i (S_i[x_i] - min S_i) over the span codeword x, so in the
-    top L only its K = min(L - 1, m) least reliable symbols (smallest second-lowest cost)
-    can leave their best value.  Each path forks q ways on those, one at a time, keeping the
-    L smallest metrics after each fork; the survivors are ordered by parent, then u bits in
-    decision order, as bit-by-bit pruning keeps them.  An exact tie at a selection boundary
-    returns None before any state is written, and the recursion decodes the span.
+    ``s`` holds (frames, paths, m, q) symbol LLR vectors S_i or (frames, paths, m) bit LLRs
+    a_i, which score like S_i = [0, a_i].  A path's metric grows by sum_i (S_i[x_i] - min S_i)
+    over the span codeword x, so in the top L only its K = min(L - 1, m) least reliable
+    symbols (smallest second-lowest cost, |a_i| for a bit) can leave their best value.  Each
+    path forks q ways on those, one at a time, keeping the L smallest metrics after each fork;
+    the survivors are ordered by parent, then u bits in decision order, as bit-by-bit pruning
+    keeps them.  An exact tie at a selection boundary returns None before any state is
+    written, and the recursion decodes the span.
     """
-    f, a, m, q = s.shape
-    t, L, k = q.bit_length() - 1, state.L, min(state.L - 1, m)
-    flat = s.reshape(-1, m, q)
-    best = flat.argmin(axis=-1)                                        # (f*a, m)
-    low, second = np.partition(flat, 1, axis=-1)[..., :2].transpose(2, 0, 1).copy()
-    order = np.argsort(second - low, axis=-1, kind="stable")
-    ranked = np.sort(np.pad(second - low, ((0, 0), (1, 0))), axis=-1)   # 0, reliabilities
-    if k < m and (ranked[:, k] == ranked[:, k + 1]).any():
-        return None
+    f, a, m = s.shape[:3]
+    q, L, k = 2 if s.ndim == 3 else s.shape[3], state.L, min(state.L - 1, m)
+    t, flat = q.bit_length() - 1, s.reshape((f * a,) + s.shape[2:])
+    if s.ndim == 3:   # int8, so the span re-encodings stay int8
+        best, reliability = (flat < 0).astype(np.int8), np.abs(flat)
+    else:
+        best = flat.argmin(axis=-1)                                        # (f*a, m)
+        low, second = np.partition(flat, 1, axis=-1)[..., :2].transpose(2, 0, 1).copy()
+        reliability = second - low
+    order = np.argsort(reliability, axis=-1, kind="stable")
+    if k < m:   # the K-th lowest reliability (0 for K = 0) must be below the (K+1)-th
+        edge = np.take_along_axis(reliability, order[:, max(k - 1, 0):k + 1], axis=-1)
+        if ((edge[:, 0] if k else 0) == edge[:, -1]).any():
+            return None
     pm, parent, forks = state.pm, np.arange(f * a).reshape(f, a), []
     for j in range(k):
-        sym = order[parent, j]
-        pm = (pm[..., None] + flat[parent, sym] - low[parent, sym][..., None]).reshape(f, -1)
+        pos = order[parent, j]
+        if s.ndim == 3:   # bit value 0 costs max(-a, 0), value 1 max(a, 0)
+            pm = pm[..., None] + np.maximum(flat[parent, pos][..., None] * [-1.0, 1.0], 0.0)
+        else:
+            pm = pm[..., None] + flat[parent, pos] - low[parent, pos][..., None]
+        pm = pm.reshape(f, -1)
         keep = np.arange(pm.size)   # flat (frame, path, value) indices of the kept children
         if pm.shape[1] > L:
             bound = np.partition(pm, L - 1, axis=1)
@@ -449,18 +462,19 @@ def _decode(spec: "CodeSpec", state: _PathState, channel_input) -> np.ndarray:
     shape = (spec.n // spec.t, 1 << spec.t) if spec.scheme == "hybrid" else (spec.n,)
     if root.shape[1:] != shape:
         raise ValueError(f"decoder input has shape {root.shape}, not (frames,) + {shape}")
+    # A genie pass corrects every bit, so it stays on the recursion.
+    genie = state.genie_u is not None
     if spec.scheme == "hybrid":
         block_map = stage1_block_map(spec.t, spec.encoder_variant)
         leaf = functools.partial(_symbol_leaf, block_map)
-        # A genie pass corrects every bit, so it stays on the recursion.
-        node = None if state.genie_u is not None else functools.partial(
+        node = None if genie else functools.partial(
             _symbol_node, np.argsort(block_map).astype(np.int8))   # int8: the node logs u in it
         frozen = state.frozen_mask.reshape(-1, spec.t)
         state.leaf_frozen, state.leaf_has_frozen = frozen.all(axis=1), frozen.any(axis=1)
         return _span(state, root[:, None], stage2_plus, stage2_minus, leaf,
                      stage2_rate0_penalty, node, 0)
-    # No node: over scalar LLRs it saved no time, and its temporaries grew the heap.
-    return _span(state, root[:, None], _f_bin, _g_bin, _bit_leaf, _rate0_bin, None, 0)
+    node = None if genie else functools.partial(_symbol_node, np.arange(2, dtype=np.int8))
+    return _span(state, root[:, None], _f_bin, _g_bin, _bit_leaf, _rate0_bin, node, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -379,19 +379,24 @@ def permute_and_add(s_in: np.ndarray, coefficients: np.ndarray, tables) -> np.nd
 def span_top_list(s, pm, list_size: int, t: int, variant: str):
     """The L best extensions of a list through a span with no frozen bit, by scoring all.
 
-    ``s`` holds each incoming path's (m, 2^t) span input and ``pm`` its metric.
-    Every path extends by each of the q^m span codewords x, at metric
-    pm + sum_i (s_i[x_i] - min s_i).  The span's m*t decided bits u are, for
-    each symbol of the polar transform of x (dense matrices, bit plane by bit
-    plane), its Stage-1 input tuple: bit j of symbol i sits at i*t + j.
-    Returns the (metric, parent, u, x) of the L smallest extensions, in the
-    order (metric, parent, u bits), and whether the L-th metric is strictly
-    below the next one (True when nothing is cut).
+    ``s`` holds each incoming path's (m, 2^t) span input, or its (m,) bit LLRs
+    alpha at t = 1, and ``pm`` its metric.  Every path extends by each of the
+    q^m span codewords x, at metric pm + sum_i (s_i[x_i] - min s_i), or
+    pm + sum_i max(-(1 - 2 x_i) alpha_i, 0) for bits.  The span's m*t decided
+    bits u are, for each symbol of the polar transform of x (dense matrices,
+    bit plane by bit plane), its Stage-1 input tuple: bit j of symbol i sits
+    at i*t + j.  Returns the (metric, parent, u, x) of the L smallest
+    extensions, in the order (metric, parent, u bits), and whether the L-th
+    metric is strictly below the next one (True when nothing is cut).
     """
     s = np.asarray(s, dtype=np.float64)
-    paths, m, q = s.shape
+    paths, m = s.shape[:2]
+    q = 2 if s.ndim == 2 else s.shape[2]
     x = np.indices((q,) * m).reshape(m, -1).T                         # (q^m, m)
-    cost = (s[:, np.arange(m), x] - s.min(axis=-1)[:, None, :]).sum(axis=-1)
+    if s.ndim == 2:
+        cost = np.maximum(-(1 - 2 * x) * s[:, None, :], 0.0).sum(axis=-1)
+    else:
+        cost = (s[:, np.arange(m), x] - s.min(axis=-1)[:, None, :]).sum(axis=-1)
     w = sum(matrix_polar_transform((x >> b) & 1) << b for b in range(t))
     tuples = np.argsort(stage1_map_matrix(t, variant))[w]            # symbol -> tuple
     u = ((tuples[..., None] >> np.arange(t)) & 1).reshape(len(x), m * t)

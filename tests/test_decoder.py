@@ -653,8 +653,8 @@ def test_frozen_left_child_price(seed, family, half):
 
 def test_rate0_subtrees_are_not_descended(monkeypatch):
     # With the lowest half of the leaves frozen, the check update runs only along
-    # the unfrozen right half; genie mode freezes nothing.  A hybrid right half with
-    # no frozen bit is decided by the node kernel without any check update.
+    # the unfrozen right half; genie mode freezes nothing.  A right half with no
+    # frozen bit is decided by the node kernel without any check update, in either scheme.
     def counted(name):
         calls = []
         kernel = getattr(decoder, name)
@@ -667,8 +667,8 @@ def test_rate0_subtrees_are_not_descended(monkeypatch):
     scl_decode_batch(spec_h, rng.normal(size=(2, 8, 4)), 4)
     baseline_decode_batch(spec_b, combine_baseline(rng.normal(size=(2, 32)), 2), 4)
     # 7 and 15 without skipping; the root's check update only fed its frozen left child,
-    # and the baseline stays on the recursion.
-    assert (len(plus_calls), len(f_calls)) == (0, 7)
+    # and the node lists each right half whole (the baseline's took 7 f updates bit by bit).
+    assert (len(plus_calls), len(f_calls)) == (0, 0)
     # Nonnegative LLR vectors decode to the all-zero truth without error, so the
     # genie pass, which stops only once every trial has erred, visits all 7 nodes.
     clean = np.abs(rng.normal(size=(2, 8, 4)))
@@ -689,27 +689,33 @@ def node_state(frames, pm, list_size, bits):
 @given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([1, 2, 4]),
        variant=st.sampled_from(["flat", "recursive"]), m=st.sampled_from([2, 4]),
        list_size=st.sampled_from([1, 2, 4, 8]), paths=st.integers(1, 3),
-       frames=st.integers(1, 2), integer=st.booleans())
+       frames=st.integers(1, 2), integer=st.booleans(), bits=st.booleans())
 def test_symbol_node_matches_span_enumeration(seed, t, variant, m, list_size, paths, frames,
-                                              integer):
+                                              integer, bits):
     # After a span with no frozen bit the list is the enumerator's top L, ordered by
     # parent and then u bits.  Integer LLRs in -2..2 tie often: there the node may
-    # instead return None, and then it must have written nothing.
+    # instead return None, and then it must have written nothing.  ``bits`` feeds the
+    # baseline's (frames, paths, m) bit LLRs over a twice longer span.
+    if bits:
+        t, variant, m = 1, "flat", 2 * m
     paths, q, first = min(paths, list_size), 1 << t, 3
+    shape = (frames, paths, m) if bits else (frames, paths, m, q)
     rng = np.random.default_rng(seed)
     if integer:
-        s = rng.integers(-2, 3, size=(frames, paths, m, q)).astype(np.float64)
+        s = rng.integers(-2, 3, size=shape).astype(np.float64)
         pm = rng.integers(0, 3, size=(frames, paths)).astype(np.float64)
     else:
-        s = rng.normal(0.0, 2.0, size=(frames, paths, m, q))
+        s = rng.normal(0.0, 2.0, size=shape)
         pm = rng.exponential(size=(frames, paths))
     state = node_state(frames, pm, list_size, (first + m) * t)
-    x = decoder._symbol_node(np.argsort(enc.stage1_block_map(t, variant)), state, s, first)
+    x = decoder._symbol_node(np.argsort(enc.stage1_block_map(t, variant)).astype(np.int8),
+                             state, s, first)
     if x is None:
         assert integer and state.pm is pm and state.trace == []
         return
     ((start, u, parent),) = state.trace   # one entry: the span's m*t bits per path
-    assert start == first * t and u.shape == (parent.size, m * t)
+    assert start == first * t and u.shape == (parent.size, m * t) and u.dtype == np.int8
+    assert x.dtype == np.int8 or not bits   # int8 bits keep the span re-encodings narrow
     u = u.reshape(parent.shape + (m * t,))
     for g in range(frames):
         metric, from_path, u_top, x_top, unique = oracles.span_top_list(
@@ -725,7 +731,9 @@ def test_symbol_node_matches_span_enumeration(seed, t, variant, m, list_size, pa
     (1, [[[0, 0], [0, 3]]], [[0.0]]),                    # K = 0 and a second zero cost
     (2, [[[0, 1], [0, 1]]], [[0.0]]),                    # equal reliabilities at places 1, 2
     (2, [[[0, 1], [0, 2]], [[0, 1], [0, 2]]], [[0.0, 1.0]]),   # metrics 0, 1, 1, 2 at fork 1
-], ids=["second-zero-cost", "reliability-tie", "fork-tie"])
+    (1, [[0, 3]], [[0.0]]),                              # bit LLRs: a zero costs both values 0
+    (2, [[1, -1]], [[0.0]]),                             # bit LLRs: equal |alpha|
+], ids=["second-zero-cost", "reliability-tie", "fork-tie", "bit-zero-llr", "bit-reliability-tie"])
 def test_symbol_node_fallback_writes_nothing(list_size, s, pm):
     pm, before = np.array(pm), np.array(pm)
     state = node_state(1, pm, list_size, 8)
@@ -736,24 +744,42 @@ def test_symbol_node_fallback_writes_nothing(list_size, s, pm):
     assert state.trace == trace
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32), t=st.sampled_from([1, 2, 4]),
-       variant=st.sampled_from(["flat", "recursive"]),
+NODE_FAMILIES = [("hybrid", 1), ("hybrid", 2), ("hybrid", 4), ("polar_repetition", 1)]
+NODE_FAMILY_PARAMS = [pytest.param(f, id=str(f[1]) if f[0] == "hybrid" else "baseline")
+                      for f in NODE_FAMILIES]
+
+
+def family_spec(family, variant="flat", **fields):
+    """A spec of ``family`` (scheme, t), its decoder, and its integer-LLR input shape."""
+    scheme, t = family
+    variant = variant if scheme == "hybrid" else "flat"
+    spec = spec_for(scheme=scheme, t=t, variant=variant, **fields)
+    if scheme == "hybrid":
+        return spec, scl_decode_batch, (spec.n // t, 1 << t)
+    return spec, baseline_decode_batch, (spec.n,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frozen=frozen_sets(32),
+       family=st.sampled_from(NODE_FAMILIES), variant=st.sampled_from(["flat", "recursive"]),
        list_size=st.sampled_from([1, 2, 4, 8, 16]), frames=st.integers(1, 4),
        integer=st.booleans(), crc_on=st.booleans(), data=st.data())
-def test_symbol_node_decodes_as_the_recursion(seed, frozen, t, variant, list_size, frames,
+def test_symbol_node_decodes_as_the_recursion(seed, frozen, family, variant, list_size, frames,
                                               integer, crc_on, data):
     # The node changes no decision, survivor, order or rank; metrics move by rounding only.
     # Two aligned leaves are unfrozen so that a span reaches the node; the drawn frozen
-    # set still leaves symbols partly frozen elsewhere.
+    # set still leaves symbols partly frozen elsewhere.  Over the baseline's bit LLRs,
+    # integer LLRs in -2..2 make zeros and equal |alpha| that force the fallback, and
+    # L = 1 makes the node SC's sign decision.
+    t = family[1]
     start = 2 * t * data.draw(st.integers(0, 32 // (2 * t) - 1))
     frozen = sorted(set(frozen) - set(range(start, start + 2 * t)))
     p = 6 if len(frozen) <= 32 - 6 else 0
-    spec = spec_for(n=32, k=32 - len(frozen) - p, t=t, r=2, p=p, variant=variant,
-                    frozen=frozen)
+    spec, decode, shape = family_spec(family, variant, n=32, k=32 - len(frozen) - p, r=2,
+                                      p=p, frozen=frozen)
     rng = np.random.default_rng(seed)
     if integer:
-        x = rng.integers(-2, 3, size=(frames, 32 // t, 1 << t)).astype(np.float64)
+        x = rng.integers(-2, 3, size=(frames,) + shape).astype(np.float64)
     else:
         x = random_decoder_input(spec, rng, frames)
     calls = []
@@ -764,26 +790,27 @@ def test_symbol_node_decodes_as_the_recursion(seed, frozen, t, variant, list_siz
         return node(*args)
 
     with mock.patch.object(decoder, "_symbol_node", spy):
-        fast = scl_decode_batch(spec, x, list_size, crc_on=crc_on, return_paths=True)
+        fast = decode(spec, x, list_size, crc_on=crc_on, return_paths=True)
     with mock.patch.object(decoder, "_symbol_node", lambda *args: None):
-        slow = scl_decode_batch(spec, x, list_size, crc_on=crc_on, return_paths=True)
+        slow = decode(spec, x, list_size, crc_on=crc_on, return_paths=True)
     assert calls
-    for field in ("u_hat", "crc_pass", "list_rank", "all_u"):
+    for field in ("u_hat", "crc_pass", "list_rank", "all_u", "all_x"):
         assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
     for field in ("chosen_pm", "all_pm"):
         np.testing.assert_allclose(getattr(fast, field), getattr(slow, field),
                                    rtol=PM_TOL, atol=PM_TOL, err_msg=field)
 
 
-@pytest.mark.parametrize("t", [2, 4])
+@pytest.mark.parametrize("family", NODE_FAMILY_PARAMS[1:])
 @pytest.mark.parametrize("list_size", [64, 256])
 @pytest.mark.parametrize("frames", [1, 2])
-def test_symbol_node_decodes_as_the_recursion_at_a_wide_list(t, list_size, frames):
+def test_symbol_node_decodes_as_the_recursion_at_a_wide_list(family, list_size, frames):
     # Bit 0 alone is frozen, so the left half of the code grows a full list of L paths and
     # the right half, with no frozen bit, reaches the node with all of them: every fork
     # prunes q * L children back to L, and all m symbols fork (K = min(L - 1, m) = m).
-    spec = spec_for(n=32, k=31, t=t, r=2, frozen=[0])
-    x = random_decoder_input(spec, np.random.default_rng(100 * t + list_size + frames), frames)
+    spec, decode, _ = family_spec(family, n=32, k=31, r=2, frozen=[0])
+    x = random_decoder_input(spec, np.random.default_rng(100 * spec.t + list_size + frames),
+                             frames)
     wide, node = [], decoder._symbol_node
 
     def spy(inverse_map, state, s, first):
@@ -792,11 +819,11 @@ def test_symbol_node_decodes_as_the_recursion_at_a_wide_list(t, list_size, frame
         return out
 
     with mock.patch.object(decoder, "_symbol_node", spy):
-        fast = scl_decode_batch(spec, x, list_size, crc_on=False, return_paths=True)
+        fast = decode(spec, x, list_size, crc_on=False, return_paths=True)
     with mock.patch.object(decoder, "_symbol_node", lambda *args: None):
-        slow = scl_decode_batch(spec, x, list_size, crc_on=False, return_paths=True)
+        slow = decode(spec, x, list_size, crc_on=False, return_paths=True)
     assert any(wide)
-    for field in ("u_hat", "list_rank", "all_u", "all_x"):
+    for field in ("u_hat", "crc_pass", "list_rank", "all_u", "all_x"):
         assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
     for field in ("chosen_pm", "all_pm"):
         np.testing.assert_allclose(getattr(fast, field), getattr(slow, field),
@@ -832,14 +859,14 @@ def test_returned_codewords_are_the_paths_encodings(seed, frozen, family, varian
     assert decode(spec, x, list_size).all_x is None
 
 
-@pytest.mark.parametrize("t", [1, 2, 4])
+@pytest.mark.parametrize("family", NODE_FAMILY_PARAMS)
 @pytest.mark.parametrize("list_size", [2, 4, 8])
-def test_symbol_node_not_retried_below_a_fallback(monkeypatch, t, list_size):
+def test_symbol_node_not_retried_below_a_fallback(monkeypatch, family, list_size):
     # With no frozen bit the root is the only span that reaches the node, and integer
     # LLRs in -2..2 make it tie: a fallback decodes the whole tree bit by bit, so the
     # node runs once per fallen-back span, not again at every level below it.
-    spec = spec_for(n=32, k=32, t=t, r=2)
-    x = np.random.default_rng(24).integers(-2, 3, size=(3, 32 // t, 1 << t)).astype(float)
+    spec, decode, shape = family_spec(family, n=32, k=32, r=2)
+    x = np.random.default_rng(24).integers(-2, 3, size=(3,) + shape).astype(float)
     results, node = [], decoder._symbol_node
 
     def spy(*args):
@@ -847,24 +874,33 @@ def test_symbol_node_not_retried_below_a_fallback(monkeypatch, t, list_size):
         return results[-1]
 
     monkeypatch.setattr(decoder, "_symbol_node", spy)
-    fast = scl_decode_batch(spec, x, list_size, return_paths=True)
+    fast = decode(spec, x, list_size, return_paths=True)
     assert len(results) == 1 and results[0] is None
     monkeypatch.setattr(decoder, "_symbol_node", lambda *args: None)
-    slow = scl_decode_batch(spec, x, list_size, return_paths=True)
-    for field in ("u_hat", "list_rank", "all_u"):
+    slow = decode(spec, x, list_size, return_paths=True)
+    for field in ("u_hat", "list_rank", "all_u", "all_x"):
         assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
 
 
-def test_baseline_and_genie_stay_on_the_recursion(monkeypatch):
+def test_genie_stays_on_the_recursion(monkeypatch):
+    # A genie pass corrects every bit, so neither scheme's enters the node kernel; a
+    # baseline list decode does, for the right half (bits 8..15) with no frozen bit.
     def refuse(*args):
         raise AssertionError("the node kernel was entered")
 
+    node = decoder._symbol_node
     monkeypatch.setattr(decoder, "_symbol_node", refuse)
     rng = np.random.default_rng(23)
     spec_h = spec_for(n=16, k=8, t=2, r=2)
     spec_b = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=2)
+    truth = np.zeros((2, 16), dtype=np.int8)
+    genie_first_errors(spec_h, rng.normal(size=(2, 8, 4)), truth)
+    genie_first_errors(spec_b, combine_baseline(rng.normal(size=(2, 32)), 2), truth)
+    spans = []
+    monkeypatch.setattr(decoder, "_symbol_node",
+                        lambda *args: spans.append((args[3], args[2].shape)) or node(*args))
     baseline_decode_batch(spec_b, combine_baseline(rng.normal(size=(2, 32)), 2), 4)
-    genie_first_errors(spec_h, rng.normal(size=(2, 8, 4)), np.zeros((2, 16), dtype=np.int8))
+    assert spans == [(8, (2, 1, 8))]   # the frozen left half leaves one path per frame
 
 
 # --- End-to-end decoding ------------------------------------------------------------
