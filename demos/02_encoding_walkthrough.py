@@ -8,8 +8,8 @@ Run with:  python demos/02_encoding_walkthrough.py
 
 import numpy as np
 
-from hybridpolar import build_field, encode_stage1, encode_stage2, multiplicative_repeat
-from hybridpolar.encoder import format_codeword_dump
+from hybridpolar import build_field, encode_stage1, encode_stage2
+from hybridpolar.encoder import block_coefficients
 
 gf16 = build_field(4)
 
@@ -21,8 +21,7 @@ def show(name, symbols):
 
 
 u = np.array([0, 0, 1, 1, 1, 0, 1, 1], dtype=np.int8)
-rho = np.array([[gf16.alpha_power(8), gf16.alpha_power(6)],
-                [gf16.alpha_power(4), gf16.alpha_power(1)]])
+rho = gf16.exp[[[8, 6], [4, 1]]]
 
 print(f"message bits u = {list(u)}")
 print(f"repetition multipliers rho = (a^8, a^6), (a^4, a^1)\n")
@@ -33,9 +32,12 @@ for variant in ("flat", "recursive"):
     show("stage-1 symbols a", a)
     z = encode_stage2(a)
     show("stage-2 output  z", z)
-    cw = multiplicative_repeat(z, 3, gf16, coefficients=rho)
-    show("codeword      c", cw.symbols)
-    print(format_codeword_dump(cw, gf16))
+    # Block j of the codeword is rho_j * z elementwise, with rho_1 = 1; the frame
+    # pipeline reads the BPSK samples of each product from a table of the same products.
+    c = gf16.mul[block_coefficients(rho, 3, len(z), gf16.q), z].ravel()
+    show("codeword      c", c)
+    print("symbols:", " ".join(f"{int(s):x}" for s in c))
+    print("rho_exp:", " ".join(str(int(gf16.log[v])) for v in rho.ravel()))
     print()
 
 print("The flat kernel multiplies each 4-bit group by the bit-reversed")

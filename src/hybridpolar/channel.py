@@ -1,15 +1,15 @@
 """BPSK transmission over AWGN and Rayleigh block-fading channels.
 
-Both schemes' receivers start from the bit LLRs lambda = ln W(y | 0) -
-ln W(y | 1) = 2*h*y/sigma^2 (:func:`initial_llrs`).  A hybrid symbol s
+:func:`transmit_frames` is the one transmit chain of every simulation,
+construction and spectrum run.  It forms each frame's bit LLRs lambda =
+ln W(y | 0) - ln W(y | 1) = 2*h*y/sigma^2 in place, with perfect channel
+state h, and sums the r repeats of each outer-code position: a baseline
+bit's LLRs by :func:`hybridpolar.decoder.combine_baseline`, a hybrid
+symbol's by :func:`hybridpolar.decoder.combine_keyed`.  A hybrid symbol s
 has the LLR S[s] = ln W(y | 0) - ln W(y | s), the sum of lambda over the
 bits where s has a 1, so S[0] = 0 and the likeliest symbol attains the
-minimum; these 2^t vectors are formed only after the r repeats are
-summed (:func:`hybridpolar.decoder.combine_repetitions`).
-
-:func:`transmit_frames` is the one transmit chain of every simulation,
-construction and spectrum run; it combines each frame's r repeats for both
-schemes, so no (frames, N) array exists.  Frame i draws from its own generator,
+minimum; these 2^t vectors are formed only after the repeats are summed,
+and no (frames, N) array exists.  Frame i draws from its own generator,
 in this order: the caller's u vector, its repetition coefficients (unless
 pinned), its fading gains, its noise.  A helper thread draws the gains and noise
 of each frame, in order, after the calling thread has drawn every frame's
@@ -92,6 +92,7 @@ def _bpsk_table(t: int, primitive_poly: int | None = None) -> np.ndarray:
     return table
 
 
+# No run path calls it; kept while perfbench/layers.py wraps it (ROADMAP G drops it).
 def bpsk_modulate(symbols: np.ndarray, t: int) -> np.ndarray:
     """Unpack symbols to bits (alpha^0 coefficient first) and map 0 -> +1, 1 -> -1."""
     x = np.take(_bpsk_table(t), np.add(symbols, 1 << t), axis=0)   # the rows of rho = 1
@@ -121,6 +122,7 @@ def _receive(x: np.ndarray, h, cfg: ChannelConfig, y: np.ndarray) -> None:
     y += x
 
 
+# No run path calls it; kept while perfbench/layers.py wraps it (ROADMAP G drops it).
 def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     """Send modulated samples through the configured channel.
 
@@ -137,6 +139,7 @@ def transmit(x: np.ndarray, cfg: ChannelConfig, rng) -> tuple[np.ndarray, np.nda
     return y, (np.ones_like(x).reshape(np.shape(h)[:-1] + (-1,)) * h).reshape(x.shape)
 
 
+# No run path calls it; kept while perfbench/layers.py wraps it (ROADMAP G drops it).
 def initial_llrs(y: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
     """Bit LLRs (2/sigma^2) * h * y from channel output and gains."""
     if sigma2 <= 0:

@@ -167,25 +167,20 @@ def first_error_counts(params: CodeSpec, trials: int, seed: int) -> np.ndarray:
     return counts
 
 
-def monte_carlo_construct(params: CodeSpec, trials: int, seed: int) -> tuple:
-    """Rank bit channels at the design SNR and return the frozen set.
+def construct_code(params: CodeSpec, trials: int = DEFAULT_CONSTRUCTION_TRIALS,
+                   seed: int = 0) -> CodeSpec:
+    """A copy of ``params`` whose frozen set is ranked at the design SNR.
 
     ``params.frozen_set`` is ignored during the ranking.  The n-k-p
     positions with the highest first-error counts are frozen; equal
     counts freeze the lower index first.
     """
     n_frozen = params.n - params.k - params.p
-    if n_frozen == 0:
-        return ()
-    counts = first_error_counts(params, trials, seed)
-    order = np.lexsort((np.arange(params.n), -counts))
-    return tuple(sorted(int(i) for i in order[:n_frozen]))
-
-
-def construct_code(params: CodeSpec, trials: int = DEFAULT_CONSTRUCTION_TRIALS,
-                   seed: int = 0) -> CodeSpec:
-    """Convenience wrapper returning a new CodeSpec with the ranked frozen set."""
-    frozen = monte_carlo_construct(params, trials, seed)
+    frozen = ()
+    if n_frozen:
+        counts = first_error_counts(params, trials, seed)
+        order = np.lexsort((np.arange(params.n), -counts))
+        frozen = tuple(sorted(int(i) for i in order[:n_frozen]))
     return dataclasses.replace(params, frozen_set=frozen)
 
 

@@ -1,13 +1,14 @@
 """CRC-aided SCL decoding for both repetition schemes; ``list_size = 1`` is SC.
 
-The frame pipeline sums each frame's r repeats (a baseline bit's by :func:`combine_baseline`),
-so the decoders read outer-code LLRs only.  Of a hybrid frame's four parts, it runs the first:
+The frame pipeline, :func:`hybridpolar.channel.transmit_frames`, forms each frame's bit
+LLRs in place and sums its r repeats (a baseline bit's by :func:`combine_baseline`, a
+hybrid symbol's by :func:`combine_keyed`), so the decoders read outer-code LLRs only.
+Of a hybrid frame's four parts, the pipeline runs the first:
 
 1. the r observations of each outer symbol combine straight from
    the bit LLRs: those of the repeats that share a coefficient rho are
    added, and one product with a table of the bits of rho * v gives
-   the symbol LLR vector (:func:`combine_repetitions`), so no 2^t
-   vector is formed per repeat;
+   the symbol LLR vector, so no 2^t vector is formed per repeat;
 2. Stage 2 runs successive cancellation over the symbol-level Arikan
    kernel, propagating whole LLR vectors through min-sum check and
    variable updates (:func:`stage2_plus`, a min-plus run symbol-major,
@@ -72,14 +73,10 @@ def _repetition_bit_table(t: int, primitive_poly: int) -> np.ndarray:
     return table
 
 
+# No run path calls it; kept while perfbench/layers.py wraps it (ROADMAP G drops it).
 def combine_repetitions(bit_llrs: np.ndarray, coefficients: np.ndarray,
                         tables: FieldTables) -> np.ndarray:
-    """Combined (..., n2, 2^t) symbol LLRs from (..., r*n2*t) bit LLRs and (..., r-1, n2) rho.
-
-    Repeat j of symbol i scores v by sum_b bit_b(rho_j * v) * lambda_{j,b}.  The bit-b
-    LLRs of the repeats sharing a coefficient rho (block 0 has rho = 1) are summed
-    first, by one bincount per bit, then one product with the bits of rho * v.
-    """
+    """:func:`combine_keyed` of (..., r*n2*t) bit LLRs and checked (..., r-1, n2) rho."""
     coefficients = np.asarray(coefficients)
     q, t = tables.q, tables.t
     lead, r, n2 = coefficients.shape[:-2], coefficients.shape[-2] + 1, coefficients.shape[-1]
@@ -97,9 +94,12 @@ def combine_baseline(bit_llrs: np.ndarray, r: int) -> np.ndarray:
 
 
 def combine_keyed(bit_llrs: np.ndarray, keys: np.ndarray, tables: FieldTables) -> np.ndarray:
-    """:func:`combine_repetitions` from prebuilt, unchecked keys; returns (symbols, 2^t) LLRs.
+    """Combined (symbols, 2^t) symbol LLRs from bit LLRs and prebuilt, unchecked keys.
 
-    ``keys`` (..., r, n2) holds symbol*q + rho per t-bit group, symbols counted over all axes.
+    ``keys`` (..., r, n2) holds symbol*q + rho per t-bit group, symbols counted over all axes
+    (block 0 has rho = 1).  Repeat j of symbol i scores v by sum_b bit_b(rho_j * v) *
+    lambda_{j,b}.  The bit-b LLRs of the repeats sharing a key are summed first, by one
+    bincount per bit, then one product with the bits of rho * v.
     """
     t, q = tables.t, tables.q
     lam = np.asarray(bit_llrs, dtype=np.float64).reshape(-1, t)
@@ -191,26 +191,6 @@ def _stage1_bit(tree: np.ndarray, prefix, j: int) -> np.ndarray:
     lo = (2 << j) - 2 + prefix + tree.shape[-1] * np.arange(prefix.size).reshape(prefix.shape)
     flat = tree.reshape(-1)
     return flat[lo + (1 << j)] - flat[lo]
-
-
-def stage1_bit_llr(s: np.ndarray, u_prefix, i: int, t: int,
-                   variant: str = "flat") -> float:
-    """Scalar LLR of bit i of a symbol group, given the decided prefix.
-
-    Minimises the symbol LLR vector over all completions of the group
-    consistent with (prefix, bit=1) versus (prefix, bit=0), mapped through
-    the Stage-1 kernel of ``variant``, from the min tree the decoder builds.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (1 << t,):
-        raise ValueError(f"symbol LLR vector must have shape ({1 << t},), got {s.shape}")
-    if not 0 <= i < t:
-        raise ValueError(f"bit index {i} out of range for t={t}")
-    u_prefix = list(u_prefix)
-    if len(u_prefix) != i or any(b not in (0, 1) for b in u_prefix):
-        raise ValueError(f"prefix must hold exactly {i} decided bits, each 0 or 1: {u_prefix}")
-    pfx = sum(int(b) << j for j, b in enumerate(u_prefix))
-    return float(_stage1_bit(_stage1_min_tree(s, stage1_block_map(t, variant)), pfx, i))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ axis, batched over any leading axes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -198,19 +197,6 @@ def message_u(info_bits: np.ndarray, spec: "CodeSpec") -> np.ndarray:
 # Inner codes and full chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Codeword:
-    """Channel-facing codeword.
-
-    ``symbols`` holds r*n/t field symbols for the hybrid scheme or
-    r*n bits for the baseline.  ``coefficients`` is the (r-1, n/t)
-    array of nonzero repetition multipliers, or None for the baseline.
-    """
-
-    symbols: np.ndarray
-    coefficients: np.ndarray | None = None
-
-
 def draw_coefficients(n_symbols: int, r: int, tables: FieldTables, rng) -> np.ndarray:
     """(r-1, n_symbols) multipliers drawn uniformly from the nonzero elements.
 
@@ -235,50 +221,36 @@ def block_coefficients(coefficients: np.ndarray, r: int, n_symbols: int, q: int)
     return rho
 
 
-def multiplicative_repeat(
-    z: np.ndarray,
-    r: int,
-    tables: FieldTables,
-    rng=None,
-    coefficients: np.ndarray | None = None,
-) -> Codeword:
-    """Repeat the outer symbols r times, scaling each repeat elementwise.
+# No run path calls it; kept while perfbench/layers.py wraps it (ROADMAP G drops it).
+def multiplicative_repeat(z: np.ndarray, r: int, tables: FieldTables,
+                          coefficients: np.ndarray) -> np.ndarray:
+    """The (..., r*n2) channel symbols: the outer symbols repeated r times, scaled elementwise.
 
     Block 1 is z itself; block j >= 2 is rho_j * z with rho_j the j-th
     row of coefficients.  ``z`` is (..., n2) and the coefficients are
-    (..., r-1, n2), batched over the same leading axes.  Coefficients
-    come from ``rng`` unless pinned explicitly.
+    (..., r-1, n2), batched over the same leading axes.
     """
     z = np.asarray(z, dtype=np.int64)
-    if coefficients is None:
-        if r > 1 and rng is None:
-            raise ValueError("need an rng or explicit coefficients for r > 1")
-        coefficients = draw_coefficients(z.shape[-1], r, tables, rng)
-    coefficients = np.asarray(coefficients, dtype=np.int64)
-    blocks = tables.mul[block_coefficients(coefficients, r, z.shape[-1], tables.q),
-                        z[..., None, :]]                                     # (..., r, n2)
-    return Codeword(symbols=blocks.reshape(blocks.shape[:-2] + (-1,)), coefficients=coefficients)
+    rho = block_coefficients(np.asarray(coefficients, dtype=np.int64), r, z.shape[-1], tables.q)
+    blocks = tables.mul[rho, z[..., None, :]]                                # (..., r, n2)
+    return blocks.reshape(blocks.shape[:-2] + (-1,))
 
 
-def encode_hybrid(
-    info_bits: np.ndarray,
-    spec: "CodeSpec",
-    tables: FieldTables,
-    rng=None,
-    coefficients: np.ndarray | None = None,
-) -> Codeword:
+# No run path calls it; kept while perfbench/layers.py wraps it (ROADMAP G drops it).
+def encode_hybrid(info_bits: np.ndarray, spec: "CodeSpec", coefficients: np.ndarray) -> np.ndarray:
     """Full hybrid chain: CRC, frozen insertion, both stages, repetition."""
     if spec.scheme != "hybrid":
         raise ValueError(f"spec scheme is {spec.scheme!r}, expected 'hybrid'")
-    return multiplicative_repeat(encode_u_vector(message_u(info_bits, spec), spec), spec.r, tables,
-                                 rng=rng, coefficients=coefficients)
+    return multiplicative_repeat(encode_u_vector(message_u(info_bits, spec), spec), spec.r,
+                                 spec.field_tables(), coefficients)
 
 
-def encode_baseline(info_bits: np.ndarray, spec: "CodeSpec") -> Codeword:
+# No run path calls it; kept while perfbench/layers.py wraps it (ROADMAP G drops it).
+def encode_baseline(info_bits: np.ndarray, spec: "CodeSpec") -> np.ndarray:
     """Binary polar codeword repeated r times verbatim."""
     if spec.scheme != "polar_repetition":
         raise ValueError(f"spec scheme is {spec.scheme!r}, expected 'polar_repetition'")
-    return Codeword(symbols=np.tile(encode_u_vector(message_u(info_bits, spec), spec), spec.r))
+    return np.tile(encode_u_vector(message_u(info_bits, spec), spec), spec.r)
 
 
 def encode_u_vector(u: np.ndarray, spec: "CodeSpec") -> np.ndarray:
@@ -290,15 +262,3 @@ def encode_u_vector(u: np.ndarray, spec: "CodeSpec") -> np.ndarray:
     if spec.scheme == "polar_repetition":
         return polar_transform(np.asarray(u, dtype=np.int8))
     return encode_stage2(encode_stage1(u, spec.t, spec.encoder_variant))
-
-
-def format_codeword_dump(codeword: Codeword, tables: FieldTables) -> str:
-    """Textual debug dump: hex symbol values plus coefficient exponents."""
-    sym = " ".join(f"{int(s):x}" for s in codeword.symbols)
-    lines = [f"symbols: {sym}"]
-    if codeword.coefficients is not None and codeword.coefficients.size:
-        exps = " ".join(
-            str(int(tables.log[c])) for c in codeword.coefficients.ravel()
-        )
-        lines.append(f"rho_exp: {exps}")
-    return "\n".join(lines)

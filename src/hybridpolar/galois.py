@@ -49,15 +49,6 @@ class FieldTables:
     log: np.ndarray = field(repr=False)
     mul: np.ndarray = field(repr=False)
 
-    def alpha_power(self, j: int) -> int:
-        """alpha^j for any integer j (exponent taken mod q-1)."""
-        return int(self.exp[j % (self.q - 1)])
-
-    def inverse(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
-
 
 @functools.lru_cache(maxsize=None)
 def build_field(t: int, primitive_poly: int | None = None) -> FieldTables:
@@ -104,43 +95,14 @@ def build_field(t: int, primitive_poly: int | None = None) -> FieldTables:
     return FieldTables(t=t, q=q, primitive_poly=primitive_poly, exp=exp, log=log, mul=mul)
 
 
-def gf_add(a: int, b: int) -> int:
-    """Field addition: coefficient-wise XOR (characteristic 2)."""
-    return a ^ b
-
-
-def gf_mul(a: int, b: int, tables: FieldTables) -> int:
-    """Field product via the log/antilog tables; 0 is absorbing."""
-    if a == 0 or b == 0:
-        return 0
-    return int(tables.exp[(int(tables.log[a]) + int(tables.log[b])) % (tables.q - 1)])
-
-
-def pack_bits(bits) -> int:
-    """Pack a tuple of bits into a symbol, first bit = alpha^0 coefficient."""
-    value = 0
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-        value |= int(b) << j
-    return value
-
-
-def unpack_symbol(s: int, t: int) -> tuple:
-    """Inverse of :func:`pack_bits`; returns exactly t bits."""
-    if not 0 <= s < (1 << t):
-        raise ValueError(f"symbol {s} out of range for t={t}")
-    return tuple((s >> j) & 1 for j in range(t))
-
-
 def pack_bits_array(bits: np.ndarray) -> np.ndarray:
-    """Vectorised pack: last axis of length t collapses to symbol values."""
+    """Pack the last axis of t bits into symbol values, the first bit the alpha^0 coefficient."""
     t = bits.shape[-1]
     weights = (1 << np.arange(t)).astype(np.int64)
     return bits.astype(np.int64) @ weights
 
 
 def unpack_symbol_array(symbols: np.ndarray, t: int) -> np.ndarray:
-    """Vectorised unpack: appends a trailing axis of t bits."""
+    """Inverse of :func:`pack_bits_array`: appends a trailing axis of t bits."""
     shifts = np.arange(t, dtype=np.int64)
     return (symbols[..., None] >> shifts) & 1

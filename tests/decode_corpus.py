@@ -106,11 +106,11 @@ def family_inputs(index: int) -> dict:
     for _ in range(FRAMES):
         info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
         if scheme == "hybrid":
-            cw = enc.encode_hybrid(info, spec, tables, rng=rng)
-            decode.append(_received(spec, tables, cw.symbols, cw.coefficients, rng))
+            coeffs = enc.draw_coefficients(n2, spec.r, tables, rng)
+            symbols = enc.encode_hybrid(info, spec, coeffs)
         else:
-            cw = enc.encode_baseline(info, spec)
-            decode.append(_received(spec, tables, cw.symbols, None, rng))
+            coeffs, symbols = None, enc.encode_baseline(info, spec)
+        decode.append(_received(spec, tables, symbols, coeffs, rng))
         u = rng.integers(0, 2, size=spec.n, dtype=np.int8)
         coeffs = enc.draw_coefficients(n2, spec.r, tables, rng) if scheme == "hybrid" else None
         symbols = oracles.channel_stream(u, spec, tables, coeffs)

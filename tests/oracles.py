@@ -20,15 +20,28 @@ vector and adds the de-permuted vectors; the decoder replaces it with
 per-coefficient sums of bit LLRs and one table product.  The exhaustive
 weight enumerator is the one-codeword-at-a-time loop over full
 re-encodings that the analysis module replaces with a batched outer
-encode and a per-symbol weight table.
+encode and a per-symbol weight table.  The field product by the log/antilog
+tables checks the multiplication table.  One helper is not independent:
+the scalar Stage-1 reader reads the decoder's own min tree at one prefix,
+so tests that compare it with the enumeration assert package code.
 """
 
 import math
 
 import numpy as np
 
-from hybridpolar.encoder import encode_u_vector, multiplicative_repeat
+from hybridpolar.decoder import _stage1_bit, _stage1_min_tree
+from hybridpolar.encoder import encode_u_vector, multiplicative_repeat, stage1_block_map
 from hybridpolar.galois import unpack_symbol_array
+
+
+# --- Field product by the log/antilog tables ---------------------------------
+
+def gf_mul(a: int, b: int, tables) -> int:
+    """a * b in GF(2^t) as alpha^(log a + log b); 0 is absorbing."""
+    if a == 0 or b == 0:
+        return 0
+    return int(tables.exp[(int(tables.log[a]) + int(tables.log[b])) % (tables.q - 1)])
 
 
 # --- CRC by long division over coefficient lists ---------------------------
@@ -164,6 +177,16 @@ def stage1_bit_llr_enum(s, prefix, i: int, t: int, variant: str) -> float:
             w = pfx | (beta << i) | (c << (i + 1))
             best[beta] = min(best[beta], s[block_map[w]])
     return best[1] - best[0]
+
+
+def stage1_bit_llr(s, prefix, i: int, t: int, variant: str = "flat") -> float:
+    """LLR of bit i of one (q,) symbol vector given its decided bits ``prefix``.
+
+    It reads the decoder's own min tree (``decoder._stage1_min_tree``) with
+    ``decoder._stage1_bit``, as the decoder's Stage-1 leaf does for a batch.
+    """
+    tree = _stage1_min_tree(np.asarray(s, dtype=np.float64), stage1_block_map(t, variant))
+    return float(_stage1_bit(tree, sum(int(b) << j for j, b in enumerate(prefix)), i))
 
 
 def stage1_leaf_table(t: int, variant: str) -> list:
@@ -416,7 +439,9 @@ def channel_stream(u, spec, tables, coefficients=None) -> np.ndarray:
     outer = encode_u_vector(u, spec)
     if spec.scheme == "polar_repetition":
         return np.tile(outer, spec.r)
-    return multiplicative_repeat(outer, spec.r, tables, coefficients=coefficients).symbols
+    if coefficients is None:   # a hybrid code with r = 1
+        coefficients = np.zeros((0, outer.shape[-1]), dtype=np.int64)
+    return multiplicative_repeat(outer, spec.r, tables, coefficients)
 
 
 def codeword_weight(u, spec, tables, coefficients) -> int:

@@ -16,8 +16,7 @@ from hybridpolar import channel as ch
 from hybridpolar import decoder as dec
 from hybridpolar import encoder as enc
 from hybridpolar.analysis import brute_force_weights, enumerate_low_weight
-from hybridpolar.codespec import (CodeSpec, construct_code, default_frozen_set,
-                                  load_spec, monte_carlo_construct)
+from hybridpolar.codespec import CodeSpec, construct_code, default_frozen_set, load_spec
 from hybridpolar.galois import build_field
 
 CRC6 = 0b1000011
@@ -60,16 +59,13 @@ def test_criterion_1_complexity_table(capsys):
 def test_criterion_2_golden_vectors():
     gf16 = build_field(4, 0b10011)
     u = np.array([0, 0, 1, 1, 1, 0, 1, 1], dtype=np.int8)
-    rho = np.array([[gf16.alpha_power(8), gf16.alpha_power(6)],
-                    [gf16.alpha_power(4), gf16.alpha_power(1)]])
+    rho = gf16.exp[[[8, 6], [4, 1]]]
     z_flat = enc.encode_stage2(enc.encode_stage1(u, 4, "flat"))
-    cw_flat = enc.multiplicative_repeat(z_flat, 3, gf16, coefficients=rho)
-    assert list(cw_flat.symbols) == [gf16.alpha_power(e)
-                                     for e in (0, 13, 8, 4, 4, 14)]
+    assert list(enc.multiplicative_repeat(z_flat, 3, gf16, rho)) == list(
+        gf16.exp[[0, 13, 8, 4, 4, 14]])
     z_rec = enc.encode_stage2(enc.encode_stage1(u, 4, "recursive"))
-    cw_rec = enc.multiplicative_repeat(z_rec, 3, gf16, coefficients=rho)
-    assert list(cw_rec.symbols) == [gf16.alpha_power(e)
-                                    for e in (0, 7, 8, 13, 4, 8)]
+    assert list(enc.multiplicative_repeat(z_rec, 3, gf16, rho)) == list(
+        gf16.exp[[0, 7, 8, 13, 4, 8]])
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +97,7 @@ def test_criterion_3_update_oracle_equivalence():
             bit = int(rng.integers(0, t))
             prefix = list(rng.integers(0, 2, size=bit))
             variant = ("flat", "recursive")[i % 2]
-            got = dec.stage1_bit_llr(s, prefix, bit, t, variant)
+            got = oracles.stage1_bit_llr(s, prefix, bit, t, variant)
             pfx_val = sum(b << j for j, b in enumerate(prefix))
             best = [np.inf, np.inf]
             for beta in (0, 1):
@@ -118,14 +114,12 @@ def test_criterion_3_update_oracle_equivalence():
 
 def test_criterion_4_degenerate_equivalence():
     n, k, p, r, frames = 128, 40, 6, 4, 1000
-    frozen = monte_carlo_construct(
+    spec_b = construct_code(
         CodeSpec("polar_repetition", n=n, k=k, t=1, r=r, p=p, crc_poly=CRC6,
                  frozen_set=default_frozen_set(n, k, p), design_snr=1.0),
         trials=2000, seed=99)
-    spec_b = CodeSpec("polar_repetition", n=n, k=k, t=1, r=r, p=p,
-                      crc_poly=CRC6, frozen_set=frozen, design_snr=1.0)
     spec_h = CodeSpec("hybrid", n=n, k=k, t=1, r=r, p=p, crc_poly=CRC6,
-                      frozen_set=frozen, design_snr=1.0)
+                      frozen_set=spec_b.frozen_set, design_snr=1.0)
     gf2 = build_field(1)
     ones = np.ones((frames, r - 1, n), dtype=np.int64)
     cfg = ch.ChannelConfig("awgn", 1.0, spec_b.rate)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from hybridpolar import codespec, decoder
 from hybridpolar.codespec import (MAX_FRAME_SAMPLES, CodeSpec, construct_code, default_frozen_set,
-                                  first_error_counts, load_spec,
-                                  monte_carlo_construct, save_spec)
+                                  first_error_counts, load_spec, save_spec)
 
 CRC6 = 0b1000011
 
@@ -227,27 +226,27 @@ def test_construction_noise_free_uses_tie_break():
     # At an extreme design SNR no genie decision ever fails, so every
     # counter stays zero and the tie-break freezes the lowest indices.
     spec = valid_spec(design_snr=300.0)
-    frozen = monte_carlo_construct(spec, trials=25, seed=3)
+    frozen = construct_code(spec, trials=25, seed=3).frozen_set
     assert frozen == default_frozen_set(32, 12, 6)
 
 
 def test_construction_full_payload_empty_frozen_set():
     spec = valid_spec(k=26, p=6, frozen_set=())
-    assert monte_carlo_construct(spec, trials=5, seed=0) == ()
+    assert construct_code(spec, trials=5, seed=0).frozen_set == ()
 
 
 def test_construction_deterministic():
     spec = valid_spec(design_snr=0.0)
-    f1 = monte_carlo_construct(spec, trials=300, seed=11)
-    f2 = monte_carlo_construct(spec, trials=300, seed=11)
+    f1 = construct_code(spec, trials=300, seed=11).frozen_set
+    f2 = construct_code(spec, trials=300, seed=11).frozen_set
     assert f1 == f2
 
 
 def test_construction_batch_size_invariant(monkeypatch):
     spec = valid_spec(design_snr=0.0)
-    f1 = monte_carlo_construct(spec, trials=100, seed=5)   # one batch by the rule
+    f1 = construct_code(spec, trials=100, seed=5).frozen_set   # one batch by the rule
     monkeypatch.setattr(decoder, "frame_batch", lambda spec, list_size, pinned: 7)
-    f2 = monte_carlo_construct(spec, trials=100, seed=5)
+    f2 = construct_code(spec, trials=100, seed=5).frozen_set
     assert f1 == f2
 
 

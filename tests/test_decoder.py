@@ -18,8 +18,7 @@ from hybridpolar.codespec import CodeSpec, default_frozen_set, load_spec
 from hybridpolar.decoder import (_f_bin, _finalize, _g_bin, _gather_paths, _PathState,
                                  _rate0_bin, baseline_decode_batch, combine_baseline,
                                  combine_repetitions, genie_first_errors, scl_decode_batch,
-                                 stage1_bit_llr, stage2_minus, stage2_plus,
-                                 stage2_rate0_penalty)
+                                 stage2_minus, stage2_plus, stage2_rate0_penalty)
 from hybridpolar.galois import build_field
 
 GF4 = build_field(2)
@@ -50,11 +49,12 @@ def frozen_sets(draw, n):
 
 
 def hybrid_channel_llrs(spec, tables, info, rng, ebn0_db, coefficients=None):
-    cw = enc.encode_hybrid(info, spec, tables, rng=rng, coefficients=coefficients)
-    x = ch.bpsk_modulate(cw.symbols, spec.t)
+    if coefficients is None:
+        coefficients = enc.draw_coefficients(spec.n // spec.t, spec.r, tables, rng)
+    x = ch.bpsk_modulate(enc.encode_hybrid(info, spec, coefficients), spec.t)
     cfg = ch.ChannelConfig("awgn", ebn0_db, spec.rate)
     y, h = ch.transmit(x, cfg, rng)
-    return combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), cw.coefficients, tables)
+    return combine_repetitions(ch.initial_llrs(y, h, cfg.sigma2), coefficients, tables)
 
 
 # --- permutations and repetition combining -----------------------------------
@@ -329,19 +329,19 @@ def test_stage2_plus_matches_gather_oracle(seed, t, lead):
 
 def test_stage1_t1_is_entry_one():
     s = np.array([0.0, -2.5])
-    assert stage1_bit_llr(s, [], 0, 1) == -2.5
+    assert oracles.stage1_bit_llr(s, [], 0, 1) == -2.5
 
 
 def test_stage1_zero_vector_gives_zero():
     for i, pfx in [(0, []), (1, [1])]:
-        assert stage1_bit_llr(np.zeros(4), pfx, i, 2) == 0.0
+        assert oracles.stage1_bit_llr(np.zeros(4), pfx, i, 2) == 0.0
 
 
 def test_stage1_gf4_frozen_value():
     s = np.array([0.0, 2.0, -1.0, 3.0])
-    assert stage1_bit_llr(s, [], 0, 2) == -1.0
-    assert stage1_bit_llr(s, [0], 1, 2) == 3.0
-    assert stage1_bit_llr(s, [1], 1, 2) == -3.0
+    assert oracles.stage1_bit_llr(s, [], 0, 2) == -1.0
+    assert oracles.stage1_bit_llr(s, [0], 1, 2) == 3.0
+    assert oracles.stage1_bit_llr(s, [1], 1, 2) == -3.0
 
 
 def test_stage1_matches_enumeration_oracle():
@@ -353,26 +353,9 @@ def test_stage1_matches_enumeration_oracle():
                 s[0] = 0.0
                 for i in range(t):
                     prefix = list(rng.integers(0, 2, size=i))
-                    got = stage1_bit_llr(s, prefix, i, t, variant)
+                    got = oracles.stage1_bit_llr(s, prefix, i, t, variant)
                     ref = oracles.stage1_bit_llr_enum(s, prefix, i, t, variant)
                     assert np.isclose(got, ref, atol=1e-9)
-
-
-def test_stage1_rejects_bad_prefix():
-    with pytest.raises(ValueError):
-        stage1_bit_llr(np.zeros(4), [0, 1], 1, 2)
-    with pytest.raises(ValueError):
-        stage1_bit_llr(np.zeros(4), [], 2, 2)
-
-
-@pytest.mark.parametrize("s,prefix,t", [(np.arange(16.0), [-1], 4), (np.arange(16.0), [2], 4),
-                                        (np.zeros(8), [0], 4), (np.zeros(16), [1], 2),
-                                        (np.zeros((2, 4)), [0], 2)])
-def test_stage1_rejects_bad_bits_and_lengths(s, prefix, t):
-    # A prefix bit outside {0, 1} or a vector that is not 2^t long is refused,
-    # not wrapped into another symbol's entry or left to an IndexError.
-    with pytest.raises(ValueError):
-        stage1_bit_llr(s, prefix, 1, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,7 +378,7 @@ def test_stage1_min_tree_matches_gather_and_enumeration(seed, t, variant):
             bits = [pfx >> b & 1 for b in range(j)]
             for f, a in np.ndindex(3, 5):
                 ref = oracles.stage1_bit_llr_enum(s[f, a], bits, j, t, variant)
-                assert got[f, a] == ref == stage1_bit_llr(s[f, a], bits, j, t, variant)
+                assert got[f, a] == ref == oracles.stage1_bit_llr(s[f, a], bits, j, t, variant)
 
 
 def test_stage1_recursive_tprime1_reduces_to_binary_minsum():
@@ -405,11 +388,11 @@ def test_stage1_recursive_tprime1_reduces_to_binary_minsum():
         s = np.array([0.0, a, b, a + b])
         plus = oracles.stage1_recursive_update(s, "plus")
         assert np.isclose(plus[1], oracles.binary_f(a, b), atol=1e-12)
-        assert np.isclose(plus[1], stage1_bit_llr(s, [], 0, 2, "recursive"), atol=1e-12)
+        assert np.isclose(plus[1], oracles.stage1_bit_llr(s, [], 0, 2, "recursive"), atol=1e-12)
         for u0 in (0, 1):
             minus = oracles.stage1_recursive_update(s, "minus", u0)
             assert np.isclose(minus[1], oracles.binary_g(a, b, u0), atol=1e-12)
-            assert np.isclose(minus[1], stage1_bit_llr(s, [u0], 1, 2, "recursive"),
+            assert np.isclose(minus[1], oracles.stage1_bit_llr(s, [u0], 1, 2, "recursive"),
                               atol=1e-12)
 
 
@@ -438,20 +421,20 @@ def test_recursive_layering_equals_one_shot_extraction():
             # bit 0: plus down two layers
             s_low = oracles.stage1_recursive_update(s, "plus")
             b0 = oracles.stage1_recursive_update(s_low, "plus")[1]
-            assert np.isclose(b0, stage1_bit_llr(s, [], 0, 4, "recursive"),
+            assert np.isclose(b0, oracles.stage1_bit_llr(s, [], 0, 4, "recursive"),
                               atol=1e-9)
             # bit 1 given u0
             b1 = oracles.stage1_recursive_update(s_low, "minus", u[0])[1]
-            assert np.isclose(b1, stage1_bit_llr(s, u[:1], 1, 4, "recursive"),
+            assert np.isclose(b1, oracles.stage1_bit_llr(s, u[:1], 1, 4, "recursive"),
                               atol=1e-9)
             # bits 2 and 3 after feeding back the first half-symbol
             w0 = (u[0] ^ u[1]) | (u[1] << 1)
             s_high = oracles.stage1_recursive_update(s, "minus", w0)
             b2 = oracles.stage1_recursive_update(s_high, "plus")[1]
-            assert np.isclose(b2, stage1_bit_llr(s, u[:2], 2, 4, "recursive"),
+            assert np.isclose(b2, oracles.stage1_bit_llr(s, u[:2], 2, 4, "recursive"),
                               atol=1e-9)
             b3 = oracles.stage1_recursive_update(s_high, "minus", u[2])[1]
-            assert np.isclose(b3, stage1_bit_llr(s, u[:3], 3, 4, "recursive"),
+            assert np.isclose(b3, oracles.stage1_bit_llr(s, u[:3], 3, 4, "recursive"),
                               atol=1e-9)
 
 
@@ -604,7 +587,7 @@ def test_symbol_rate0_penalty_matches_bitwise_sc(seed, t, length, variant):
     rng = np.random.default_rng(seed)
     s = rng.normal(0.5, 3.0, size=(2, 3, length, 1 << t))
     leaf = functools.partial(oracles.frozen_symbol_penalty, t=t, variant=variant,
-                             bit_llr=stage1_bit_llr)
+                             bit_llr=oracles.stage1_bit_llr)
     got = stage2_rate0_penalty(s)
     assert got.shape == (2, 3)
     for f, a in np.ndindex(2, 3):
@@ -1023,7 +1006,7 @@ def test_baseline_noiseless_roundtrip():
     cfg = ch.ChannelConfig("awgn", 60.0, spec.rate)
     for L in (1, 4):
         info = rng.integers(0, 2, size=spec.k, dtype=np.int8)
-        x = 1.0 - 2.0 * enc.encode_baseline(info, spec).symbols
+        x = 1.0 - 2.0 * enc.encode_baseline(info, spec)
         y, h = ch.transmit(x, cfg, rng)
         llrs = ch.initial_llrs(y, h, cfg.sigma2)
         res = baseline_decode_batch(spec, combine_baseline(llrs, spec.r)[None], L)
@@ -1041,8 +1024,7 @@ def test_hybrid_t1_unit_rho_matches_baseline_decisions():
     s_inner, llrs = [], []
     for _ in range(200):
         info = rng.integers(0, 2, size=k, dtype=np.int8)
-        cw = enc.encode_hybrid(info, spec_h, gf2, coefficients=ones)
-        x = ch.bpsk_modulate(cw.symbols, 1)
+        x = ch.bpsk_modulate(enc.encode_hybrid(info, spec_h, ones), 1)
         y, h = ch.transmit(x, cfg, rng)
         llrs.append(ch.initial_llrs(y, h, cfg.sigma2))
         s_inner.append(combine_repetitions(llrs[-1], ones, gf2))

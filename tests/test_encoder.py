@@ -3,12 +3,10 @@ import pytest
 
 import oracles
 from hybridpolar.codespec import CodeSpec, default_frozen_set
-from hybridpolar.encoder import (Codeword, bit_reversal_permutation, crc_attach,
-                                 crc_check, crc_remainder_matrix,
-                                 encode_baseline, encode_hybrid, encode_stage1,
-                                 encode_stage2, format_codeword_dump, message_u,
-                                 multiplicative_repeat, polar_transform,
-                                 stage1_block_map)
+from hybridpolar.encoder import (bit_reversal_permutation, crc_attach, crc_check,
+                                 crc_remainder_matrix, draw_coefficients, encode_baseline,
+                                 encode_hybrid, encode_stage1, encode_stage2, message_u,
+                                 multiplicative_repeat, polar_transform, stage1_block_map)
 from hybridpolar.galois import build_field
 
 GF16 = build_field(4)
@@ -17,8 +15,8 @@ CRC6 = 0b1000011
 # Inputs recovered from the two worked encoder examples (n=8, r=3, t=4):
 # both examples share the same message bits and repetition coefficients.
 EXAMPLE_U = np.array([0, 0, 1, 1, 1, 0, 1, 1], dtype=np.int8)
-EXAMPLE_RHO = np.array([[GF16.alpha_power(8), GF16.alpha_power(6)],
-                        [GF16.alpha_power(4), GF16.alpha_power(1)]])
+EXAMPLE_RHO = np.array([[GF16.exp[8], GF16.exp[6]],
+                        [GF16.exp[4], GF16.exp[1]]])
 
 
 def spec_for(scheme="hybrid", n=16, k=8, t=2, r=2, p=0, variant="flat"):
@@ -141,12 +139,12 @@ def test_stage1_t1_identity():
 
 def test_stage1_flat_example_symbols():
     a = encode_stage1(EXAMPLE_U, 4, "flat")
-    assert list(a) == [GF16.alpha_power(6), GF16.alpha_power(13)]
+    assert list(a) == [GF16.exp[6], GF16.exp[13]]
 
 
 def test_stage1_recursive_example_symbols():
     a = encode_stage1(EXAMPLE_U, 4, "recursive")
-    assert list(a) == [GF16.alpha_power(9), GF16.alpha_power(7)]
+    assert list(a) == [GF16.exp[9], GF16.exp[7]]
 
 
 def test_stage1_variants_agree_for_t2():
@@ -214,59 +212,53 @@ def test_stage2_equals_bitplane_transform():
 
 def test_repeat_r1_passthrough():
     z = np.array([3, 7, 1, 0])
-    cw = multiplicative_repeat(z, 1, GF16)
-    assert np.array_equal(cw.symbols, z)
-    assert cw.coefficients.shape == (0, 4)
+    rho = draw_coefficients(4, 1, GF16, None)   # r = 1 draws nothing
+    assert rho.shape == (0, 4)
+    assert np.array_equal(multiplicative_repeat(z, 1, GF16, rho), z)
 
 
 def test_repeat_unit_coefficients_plain_repetition():
     z = np.array([3, 7, 1, 0])
     ones = np.ones((2, 4), dtype=np.int64)
-    cw = multiplicative_repeat(z, 3, GF16, coefficients=ones)
-    assert np.array_equal(cw.symbols, np.tile(z, 3))
+    assert np.array_equal(multiplicative_repeat(z, 3, GF16, ones), np.tile(z, 3))
 
 
 def test_repeat_example1_golden_codeword():
     z = encode_stage2(encode_stage1(EXAMPLE_U, 4, "flat"))
-    cw = multiplicative_repeat(z, 3, GF16, coefficients=EXAMPLE_RHO)
-    expect = [GF16.alpha_power(e) for e in (0, 13, 8, 4, 4, 14)]
-    assert list(cw.symbols) == expect
+    expect = [GF16.exp[e] for e in (0, 13, 8, 4, 4, 14)]
+    assert list(multiplicative_repeat(z, 3, GF16, EXAMPLE_RHO)) == expect
 
 
 def test_repeat_rejects_zero_coefficient():
     with pytest.raises(ValueError):
-        multiplicative_repeat(np.array([1, 2]), 2, GF16,
-                              coefficients=np.array([[0, 1]]))
+        multiplicative_repeat(np.array([1, 2]), 2, GF16, np.array([[0, 1]]))
 
 
 def test_repeat_rejects_a_negative_coefficient():
     # A negative index would wrap to the last row of the multiplication table.
     with pytest.raises(ValueError, match="nonzero field elements"):
-        multiplicative_repeat(np.array([1, 2]), 2, GF16, coefficients=np.array([[-1, 1]]))
+        multiplicative_repeat(np.array([1, 2]), 2, GF16, np.array([[-1, 1]]))
 
 
 def test_repeat_rejects_bad_shape():
     with pytest.raises(ValueError):
-        multiplicative_repeat(np.array([1, 2]), 3, GF16,
-                              coefficients=np.ones((1, 2), dtype=np.int64))
+        multiplicative_repeat(np.array([1, 2]), 3, GF16, np.ones((1, 2), dtype=np.int64))
 
 
 # --- Full chains -----------------------------------------------------------------
 
 def test_encode_hybrid_zero_message_zero_codeword():
     spec = spec_for(n=16, k=8, t=4, r=4)
-    cw = encode_hybrid(np.zeros(8, dtype=np.int8), spec, GF16,
-                       rng=np.random.default_rng(0))
-    assert not cw.symbols.any()
+    rho = draw_coefficients(4, 4, GF16, np.random.default_rng(0))
+    assert not encode_hybrid(np.zeros(8, dtype=np.int8), spec, rho).any()
 
 
 def test_encode_hybrid_example2_golden_codeword():
     # n=8, unfrozen everywhere, recursive Stage 1.
     spec = CodeSpec(scheme="hybrid", n=8, k=8, t=4, r=3, p=0, crc_poly=0,
                     frozen_set=(), design_snr=2.0, encoder_variant="recursive")
-    cw = encode_hybrid(EXAMPLE_U, spec, GF16, coefficients=EXAMPLE_RHO)
-    expect = [GF16.alpha_power(e) for e in (0, 7, 8, 13, 4, 8)]
-    assert list(cw.symbols) == expect
+    expect = [GF16.exp[e] for e in (0, 7, 8, 13, 4, 8)]
+    assert list(encode_hybrid(EXAMPLE_U, spec, EXAMPLE_RHO)) == expect
 
 
 def test_flat_and_recursive_differ_on_example():
@@ -274,33 +266,28 @@ def test_flat_and_recursive_differ_on_example():
                       frozen_set=(), design_snr=2.0, encoder_variant="flat")
     spec_r = CodeSpec(scheme="hybrid", n=8, k=8, t=4, r=3, p=0, crc_poly=0,
                       frozen_set=(), design_snr=2.0, encoder_variant="recursive")
-    cw_f = encode_hybrid(EXAMPLE_U, spec_f, GF16, coefficients=EXAMPLE_RHO)
-    cw_r = encode_hybrid(EXAMPLE_U, spec_r, GF16, coefficients=EXAMPLE_RHO)
-    assert not np.array_equal(cw_f.symbols, cw_r.symbols)
+    assert not np.array_equal(encode_hybrid(EXAMPLE_U, spec_f, EXAMPLE_RHO),
+                              encode_hybrid(EXAMPLE_U, spec_r, EXAMPLE_RHO))
 
 
 def test_encode_baseline_properties():
     spec = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=3)
-    assert not encode_baseline(np.zeros(8, dtype=np.int8), spec).symbols.any()
+    assert not encode_baseline(np.zeros(8, dtype=np.int8), spec).any()
     spec1 = spec_for(scheme="polar_repetition", n=16, k=8, t=1, r=1)
     rng = np.random.default_rng(7)
     info = rng.integers(0, 2, size=8, dtype=np.int8)
-    cw = encode_baseline(info, spec1)
-    assert np.array_equal(cw.symbols, polar_transform(message_u(info, spec1)))
+    assert np.array_equal(encode_baseline(info, spec1), polar_transform(message_u(info, spec1)))
 
 
 def test_hybrid_t1_unit_rho_equals_baseline_stream():
     n, k, p, r = 64, 24, 6, 4
     spec_h = spec_for(n=n, k=k, t=1, r=r, p=p)
     spec_b = spec_for(scheme="polar_repetition", n=n, k=k, t=1, r=r, p=p)
-    gf2 = build_field(1)
     ones = np.ones((r - 1, n), dtype=np.int64)
     rng = np.random.default_rng(8)
     for _ in range(100):
         info = rng.integers(0, 2, size=k, dtype=np.int8)
-        cw_h = encode_hybrid(info, spec_h, gf2, coefficients=ones)
-        cw_b = encode_baseline(info, spec_b)
-        assert np.array_equal(cw_h.symbols, cw_b.symbols)
+        assert np.array_equal(encode_hybrid(info, spec_h, ones), encode_baseline(info, spec_b))
 
 
 def test_outer_chain_gf2_linearity_fixed_rho():
@@ -311,10 +298,9 @@ def test_outer_chain_gf2_linearity_fixed_rho():
     for _ in range(50):
         u1 = rng.integers(0, 2, size=16, dtype=np.int8)
         u2 = rng.integers(0, 2, size=16, dtype=np.int8)
-        cw1 = encode_hybrid(u1, spec, GF16, coefficients=rho)
-        cw2 = encode_hybrid(u2, spec, GF16, coefficients=rho)
-        cw12 = encode_hybrid(u1 ^ u2, spec, GF16, coefficients=rho)
-        assert np.array_equal(cw12.symbols, cw1.symbols ^ cw2.symbols)
+        cw1 = encode_hybrid(u1, spec, rho)
+        cw2 = encode_hybrid(u2, spec, rho)
+        assert np.array_equal(encode_hybrid(u1 ^ u2, spec, rho), cw1 ^ cw2)
 
 
 def test_repeated_blocks_share_zero_pattern():
@@ -323,8 +309,8 @@ def test_repeated_blocks_share_zero_pattern():
     rng = np.random.default_rng(10)
     for _ in range(20):
         info = rng.integers(0, 2, size=8, dtype=np.int8)
-        cw = encode_hybrid(info, spec, tables, rng=rng)
-        blocks = cw.symbols.reshape(4, -1)
+        rho = draw_coefficients(8, 4, tables, rng)
+        blocks = encode_hybrid(info, spec, rho).reshape(4, -1)
         for j in range(1, 4):
             assert np.array_equal(blocks[j] != 0, blocks[0] != 0)
 
@@ -347,15 +333,3 @@ def test_message_frame_rejects_wrong_length():
     with pytest.raises(ValueError):
         message_u(np.zeros(5, dtype=np.int8), spec)
 
-
-def test_debug_dump_format():
-    z = encode_stage2(encode_stage1(EXAMPLE_U, 4, "flat"))
-    cw = multiplicative_repeat(z, 3, GF16, coefficients=EXAMPLE_RHO)
-    dump = format_codeword_dump(cw, GF16)
-    assert dump.splitlines()[0] == "symbols: 1 d 5 3 3 9"
-    assert dump.splitlines()[1] == "rho_exp: 8 6 4 1"
-
-
-def test_codeword_dataclass_holds_arrays():
-    cw = Codeword(symbols=np.array([1, 2]), coefficients=None)
-    assert cw.coefficients is None
