@@ -11,11 +11,11 @@ bits where s has a 1, so S[0] = 0 and the likeliest symbol attains the
 minimum; these 2^t vectors are formed only after the repeats are summed,
 and no (frames, N) array exists.  Frame i draws from its own generator,
 in this order: the caller's u vector, its repetition coefficients (unless
-pinned), its fading gains, its noise.  A helper thread draws the gains and noise
-of each frame, in order, after the calling thread has drawn every frame's
-coefficients; no generator is ever used by two threads, so no stream, and no
-output bit, depends on their timing.  A call of one frame starts no thread: the
-calling thread makes the same draw itself.
+pinned), its fading gains, its noise.  Once the calling thread has drawn
+every frame's coefficients, it shares the gain and noise draws with a helper
+thread: whichever thread is free claims the next undrawn frame and draws all
+of it.  No generator is used by two threads, so no stream, and no output bit,
+depends on their timing.  A one-frame call starts no thread.
 """
 
 from __future__ import annotations
@@ -160,17 +160,17 @@ def pinned_coefficients(spec: "CodeSpec", seed: int) -> np.ndarray | None:
                                       seeded_rng(seed, 1))
 
 
-_RING = 4   # N-sample noise buffers in flight between the two threads
+_RING = 4   # N-sample noise buffers; the calling thread keeps one for its own draws
 _RING_SAMPLES = 1 << 24   # most samples in the ring: a frame of N = 2^24 gets one buffer
 
 
-def _draw_frames(cfg: ChannelConfig, rngs, ring: np.ndarray, free, ready) -> None:
-    """Helper thread, generator calls only: draw each frame into the ring slot ``free`` gives."""
-    try:
-        for rng, slot in zip(rngs, iter(free.get, None)):
-            ready.put((_draw(cfg, rng, ring[slot]), slot))   # a None slot ends the loop
+def _draw_frames(cfg: ChannelConfig, rngs, rows, ring: np.ndarray, free, ready) -> None:
+    """Helper thread, generator calls only: take a free ring slot, claim the next row, draw it."""
+    try:   # zip asks free for a slot first, so a None slot ends the loop before a claim
+        for slot, row in zip(iter(free.get, None), rows):
+            ready.put((_draw(cfg, rngs[row], ring[slot]), slot, row))
     except BaseException as exc:   # sent in place of a frame; the calling thread raises it
-        ready.put((exc, None))
+        ready.put((exc, None, None))
 
 
 def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
@@ -178,10 +178,12 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
     """Encode, modulate and transmit a (frames, n) batch of u vectors into decoder input.
 
     ``rngs`` holds one generator per frame; hybrid frames draw their coefficients from it
-    unless ``pinned`` (r-1, n/t) fixes them.  Then a helper thread (none for one frame) draws
-    each frame's gains and noise into a reused N-sample buffer, while this thread adds the
-    samples of rho * c, read from a table, forms the LLRs in place and sums the r repeats into
-    the frame's (frames, n/t, 2^t) symbol LLRs (hybrid) or (frames, n) bit LLRs (baseline).
+    unless ``pinned`` (r-1, n/t) fixes them.  Both threads then draw the gains and noise into
+    a ring of N-sample buffers, each claiming the next undrawn frame: a helper thread (none for
+    a one-slot ring) whenever a slot is free, this thread whenever no drawn frame is ready.
+    This thread takes frames as they become ready, adds the samples of rho * c, read from a
+    table, forms the LLRs in place and sums the r repeats into the (frames, n/t, 2^t) symbol
+    LLRs (hybrid) or (frames, n) bit LLRs (baseline).
     """
     hybrid = spec.scheme == "hybrid"
     _check_blocks(cfg, spec.N)
@@ -191,31 +193,41 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
     if hybrid:
         coefficients = np.asarray(pinned)[None] if pinned is not None else np.stack(
             [_encoder.draw_coefficients(n2, spec.r, tables, rng) for rng in rngs])
-        rho = _encoder.block_coefficients(coefficients, spec.r, n2, q)   # (frames or 1, r, n2)
-        keys = rho + q * np.arange(n2)   # the combine keys i*q + rho
-    outer = q * _encoder.encode_u_vector(u, spec)   # c*q: row c*q + rho holds rho * c
-    samples = _bpsk_table(spec.t, spec.primitive_poly)
-    out = np.empty((len(rngs), n2, q) if hybrid else (len(rngs), spec.n))
     ring = np.empty((min(_RING, len(rngs), max(1, _RING_SAMPLES // spec.N)), spec.N))
     free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for slot in range(len(ring)):
+    for slot in range(1, len(ring)):   # slot 0 holds this thread's own draws
         free.put(slot)
-    helper = threading.Thread(target=_draw_frames, args=(cfg, rngs, ring, free, ready),
+    # A frame is claimed by next() on this iterator, one C call that holds the GIL throughout.
+    rows = iter(range(len(rngs)))
+    helper = threading.Thread(target=_draw_frames, args=(cfg, rngs, rows, ring, free, ready),
                               daemon=True)
-    (helper.start if len(rngs) > 1 else helper.run)()   # one frame: drawn here, no thread
+    if len(ring) > 1:
+        helper.start()
     try:
-        for row in range(len(rngs)):
-            x = np.take(samples, outer[row] + rho[row % len(rho)], axis=0).reshape(-1)
-            h, slot = ready.get()
+        if hybrid:
+            rho = _encoder.block_coefficients(coefficients, spec.r, n2, q)   # (frames or 1, r, n2)
+            keys = rho + q * np.arange(n2)   # the combine keys i*q + rho
+        outer = q * _encoder.encode_u_vector(u, spec)   # c*q: row c*q + rho holds rho * c
+        samples = _bpsk_table(spec.t, spec.primitive_poly)
+        out = np.empty((len(rngs), n2, q) if hybrid else (len(rngs), spec.n))
+        for _ in range(len(rngs)):
+            try:
+                h, slot, row = ready.get_nowait()
+            except queue.Empty:   # nothing drawn yet: draw the next frame here, or wait
+                row = next(rows, None)
+                h, slot, row = ready.get() if row is None else (
+                    _draw(cfg, rngs[row], ring[0]), 0, row)
             if slot is None:
                 raise h
+            x = np.take(samples, outer[row] + rho[row % len(rho)], axis=0).reshape(-1)
             y = ring[slot]
             _receive(x, h, cfg, y)
             blocks = y.reshape(np.shape(h)[:-1] + (-1,))
             blocks *= 2.0 / cfg.sigma2 * h   # (2/sigma^2 * h) * y, as initial_llrs rounds it
             out[row] = (_decoder.combine_keyed(y, keys[row % len(keys)], tables) if hybrid
                         else _decoder.combine_baseline(y, spec.r))
-            free.put(slot)
+            if slot:
+                free.put(slot)
     finally:
         free.put(None)
         if helper.ident is not None:

@@ -164,8 +164,12 @@ def stage2_rate0_penalty(s: np.ndarray) -> np.ndarray:
     are 0), which telescopes to S[0] - min S.  Halves A, B cost, per symbol pair, min(a + b) -
     min a - min b in the left child stage2_plus(A, B) and a[0] + b[0] - min(a + b) in the right
     child stage2_minus(A, B, 0): a[0] + b[0] - min a - min b in all.  No step needs s_i[0] = 0.
+    The minimum takes t halvings of the q axis, not an inner-axis reduce; it is exact.
     """
-    return (s[..., 0] - s.min(axis=-1)).sum(axis=-1)
+    low = s
+    while low.shape[-1] > 1:
+        low = np.minimum(low[..., :low.shape[-1] // 2], low[..., low.shape[-1] // 2:])
+    return (s[..., 0] - low[..., 0]).sum(axis=-1)
 
 
 def _stage1_min_tree(s: np.ndarray, block_map: np.ndarray) -> np.ndarray:
@@ -473,17 +477,18 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool, return_paths: b
         u_flat[:, start:start + bits.shape[1]] = bits[idx]
         idx = np.take(parent, idx)
     order = np.argsort(pm, axis=1, kind="stable")
-    if spec.p > 0:
-        pass_mask = crc_check(u_all[:, :, spec.unfrozen_indices()], spec.crc_poly, spec.p)
-    else:
-        pass_mask = np.zeros(pm.shape, dtype=bool)
-    # The best path that passes the CRC, or rank 0 if none does (argmax of all False).
-    rank = np.argmax(np.take_along_axis(pass_mask, order, axis=1) & crc_on, axis=1)
+    ranked = order if crc_on else order[:, :1]   # without the CRC, rank 0 is chosen
     rows = np.arange(f)
-    chosen = order[rows, rank]
+    pass_mask = np.zeros(ranked.shape, dtype=bool)
+    if spec.p > 0:
+        blocks = u_all[rows[:, None], ranked][..., spec.unfrozen_indices()]
+        pass_mask = crc_check(blocks, spec.crc_poly, spec.p)
+    # The best path that passes the CRC, or rank 0 if none does (argmax of all False).
+    rank = np.argmax(pass_mask, axis=1)
+    chosen = ranked[rows, rank]
     return BatchDecodeResult(
         u_hat=u_all[rows, chosen],
-        crc_pass=pass_mask[rows, chosen],
+        crc_pass=pass_mask[rows, rank],
         chosen_pm=pm[rows, chosen],
         list_rank=rank,
         all_u=u_all if return_paths else None,

@@ -54,20 +54,21 @@ def crc_attach(info_bits: np.ndarray, crc_poly: int, p: int) -> np.ndarray:
     k = info_bits.shape[-1]
     # The syndrome of (info, 0^p) is the remainder of info * x^p.
     m = crc_remainder_matrix(k + p, crc_poly, p)[:k]
-    crc = info_bits.astype(np.int64) @ m.astype(np.int64) % 2
+    crc = info_bits.astype(np.float64) @ m.astype(np.float64) % 2   # exact: see crc_check
     return np.concatenate([info_bits, crc.astype(np.int8)], axis=-1)
 
 
 def crc_check(bits: np.ndarray, crc_poly: int, p: int) -> np.ndarray:
     """True where the trailing p bits are a valid CRC of the leading bits.
 
-    Works on the last axis, batched over any leading axes.
+    Works on the last axis, batched over any leading axes.  The product runs in BLAS float64,
+    exactly: each sum counts at most one 1 per bit of the block (at most 2^24 bits).
     """
     bits = np.asarray(bits, dtype=np.int8)
     if p == 0:
         return np.ones(bits.shape[:-1], dtype=bool)
     m = crc_remainder_matrix(bits.shape[-1], crc_poly, p)
-    return ~(bits.astype(np.int64) @ m.astype(np.int64) % 2).any(axis=-1)
+    return ~(bits.astype(np.float64) @ m.astype(np.float64) % 2).any(axis=-1)
 
 
 _CRC_MATRIX_CACHE: dict = {}

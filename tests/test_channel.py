@@ -2,7 +2,9 @@ import dataclasses
 import importlib
 import sys
 import threading
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -319,8 +321,8 @@ def bounded_call(fn, *args, timeout=60.0):
 
 @pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
 def test_transmit_frames_raises_a_helper_error_and_ends_the_helper(scheme, t, kind):
-    # The helper thread's draw fails at frame 3 of 2 * ring + 1: the call raises that error,
-    # no thread is left behind, and the next call gives the same output as before.
+    # The draw of frame 3 of 2 * ring + 1 fails, on whichever thread claims it: the call
+    # raises that error, no thread is left behind, and the next call gives the same output.
     spec, cfg = pipeline_case(scheme, t, kind)
     frames = 2 * channel._RING + 1
     u, rngs = frame_generators(spec, frames)
@@ -338,8 +340,8 @@ def test_transmit_frames_raises_a_helper_error_and_ends_the_helper(scheme, t, ki
 @pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
 def test_transmit_frames_raises_a_calling_thread_error_and_ends_the_helper(
         scheme, t, kind, monkeypatch):
-    # The calling thread's work on frame 3 fails (the hybrid combine, or the baseline's
-    # signal add) while the helper still holds frames to draw: the call raises, and no
+    # The calling thread's work on the fourth frame it takes fails (the hybrid combine, or
+    # the baseline's signal add) while frames are still undrawn: the call raises, and no
     # thread is left behind.
     spec, cfg = pipeline_case(scheme, t, kind)
     frames = 2 * channel._RING + 1
@@ -405,7 +407,7 @@ def test_repeat_sample_table_is_bpsk_of_the_products(t):
 @pytest.mark.parametrize("pin", [False, True])
 def test_traced_layers_run_on_the_calling_thread(scheme, t, kind, pin, monkeypatch):
     # The benchmark's tracer keeps one span stack, so every function it wraps must run on
-    # the thread that calls transmit_frames; only the draws move to the helper thread.
+    # the thread that calls transmit_frames; only the draws run on either thread.
     modules = [importlib.import_module(f"hybridpolar.{name}") for name in
                ("analysis", "channel", "cli", "codespec", "decoder", "encoder", "galois")]
     seen = {}
@@ -432,7 +434,7 @@ def test_traced_layers_run_on_the_calling_thread(scheme, t, kind, pin, monkeypat
     draws = seen.pop("channel._draw")
     assert "encoder.encode_u_vector" in seen
     assert all(threads == {caller} for threads in seen.values()), seen
-    assert caller not in draws and len(draws) == 1
+    assert 1 <= len(draws) <= 2
 
 
 @pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
@@ -458,6 +460,105 @@ def test_one_frame_starts_no_thread(scheme, t, kind, pin, monkeypatch):
     u, rngs = frame_generators(spec, 1)
     with pytest.raises(RuntimeError, match="noise draw failed"):
         transmit_frames(spec, cfg, u, [FailingNoise(rngs[0])], pinned)
+
+
+def drawing_threads(monkeypatch, hold=lambda draws, caller: None):
+    """Record the thread of each channel._draw, calling ``hold(draws, caller)`` before it.
+
+    Returns (draws, caller, call): ``call`` runs transmit_frames and puts its thread in
+    ``caller``.
+    """
+    original, draws, caller = channel._draw, [], []
+
+    def recording(*args):
+        draws.append(threading.get_ident())
+        hold(draws, caller[0])
+        return original(*args)
+
+    def call(*args):
+        caller.append(threading.get_ident())
+        return transmit_frames(*args)
+
+    monkeypatch.setattr(channel, "_draw", recording)
+    return draws, caller, call
+
+
+@pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
+def test_the_calling_thread_draws_while_the_helper_is_held(scheme, t, kind, monkeypatch):
+    # The helper's draws wait until the calling thread has drawn two frames itself: the
+    # calling thread claims undrawn frames instead of waiting, and the bytes do not move.
+    spec, cfg = pipeline_case(scheme, t, kind)
+    frames = 2 * channel._RING + 1
+    reference = frame_by_frame(spec, cfg, *frame_generators(spec, frames), None)
+    released = threading.Event()
+
+    def hold(draws, caller):
+        if threading.get_ident() == caller:
+            if draws.count(caller) == 2:
+                released.set()
+        elif not released.wait(5.0):
+            released.set()   # the calling thread is not drawing: let the helper go on
+
+    draws, caller, call = drawing_threads(monkeypatch, hold)
+    out, error = bounded_call(call, spec, cfg, *frame_generators(spec, frames))
+    assert error is None and out.tobytes() == reference.tobytes()
+    assert draws.count(caller[0]) >= 2 and len(draws) == frames
+
+
+def test_a_failing_draw_on_the_calling_thread_ends_the_helper(monkeypatch):
+    # The helper is held, so the calling thread draws a frame itself, and that draw fails:
+    # the call raises its error and leaves no thread behind.
+    spec, cfg = pipeline_case("hybrid", 4, "rayleigh_block")
+    released = threading.Event()
+
+    def hold(draws, caller):
+        if threading.get_ident() == caller:
+            released.set()
+            raise RuntimeError("own draw failed")
+        released.wait(5.0)
+
+    _, _, call = drawing_threads(monkeypatch, hold)
+    threads = threading.active_count()
+    _, error = bounded_call(call, spec, cfg, *frame_generators(spec, 2 * channel._RING + 1))
+    assert isinstance(error, RuntimeError) and str(error) == "own draw failed"
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
+def test_the_helper_draws_most_frames_behind_a_slow_combine(scheme, t, kind, monkeypatch):
+    # While the calling thread sleeps in every combine, the helper fills the ring ahead of
+    # it, so the calling thread finds a drawn frame ready nearly every time.
+    spec, cfg = pipeline_case(scheme, t, kind)
+    frames = 4 * channel._RING + 3
+    reference = frame_by_frame(spec, cfg, *frame_generators(spec, frames), None)
+    name = "combine_keyed" if scheme == "hybrid" else "combine_baseline"
+    original = getattr(decoder, name)
+
+    def slow(*args):
+        time.sleep(0.002)
+        return original(*args)
+
+    monkeypatch.setattr(decoder, name, slow)
+    draws, caller, call = drawing_threads(monkeypatch)
+    out, error = bounded_call(call, spec, cfg, *frame_generators(spec, frames))
+    assert error is None and out.tobytes() == reference.tobytes()
+    assert len(draws) == frames and draws.count(caller[0]) < frames // 2, draws
+
+
+@pytest.mark.parametrize("scheme, t, kind", PIPELINE_SPECS)
+def test_a_one_slot_ring_starts_no_thread(scheme, t, kind, monkeypatch):
+    # When the ring holds one N-sample buffer, the calling thread draws every frame itself.
+    class Unstarted(threading.Thread):
+        def start(self):
+            raise AssertionError("a one-slot ring started a thread")
+
+    monkeypatch.setattr(channel, "threading", types.SimpleNamespace(Thread=Unstarted))
+    spec, cfg = pipeline_case(scheme, t, kind)
+    monkeypatch.setattr(channel, "_RING_SAMPLES", spec.N)
+    frames = 2 * channel._RING + 1
+    reference = frame_by_frame(spec, cfg, *frame_generators(spec, frames), None)
+    out, error = bounded_call(transmit_frames, spec, cfg, *frame_generators(spec, frames))
+    assert error is None and out.tobytes() == reference.tobytes()
 
 
 def test_a_baseline_frame_holds_three_frame_sized_arrays():

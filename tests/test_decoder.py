@@ -595,6 +595,21 @@ def test_symbol_rate0_penalty_matches_bitwise_sc(seed, t, length, variant):
         assert np.isclose(got[f, a], expected, rtol=PM_TOL, atol=PM_TOL)
 
 
+@pytest.mark.parametrize("t", [0, 1, 2, 4])
+@pytest.mark.parametrize("values", ["normal", "integer", "signed_zero"])
+def test_rate0_penalty_by_halving_equals_the_reduce(t, values):
+    # The halving minimum gives the inner-axis reduce's bytes: random, integer-valued
+    # and signed-zero inputs, several batch shapes and span lengths.
+    rng = np.random.default_rng(t)
+    for shape in [(3, 2, 1), (2, 4, 8), (5, 1, 16)]:
+        size = shape + (1 << t,)
+        s = {"normal": lambda: rng.normal(0.0, 3.0, size=size),
+             "integer": lambda: rng.integers(-4, 5, size=size).astype(np.float64),
+             "signed_zero": lambda: rng.choice([0.0, -0.0, 1.0, -1.0], size=size)}[values]()
+        reduce = (s[..., 0] - s.min(axis=-1)).sum(axis=-1)
+        assert stage2_rate0_penalty(s).tobytes() == reduce.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([1, 2, 4, 8, 16]))
 def test_binary_rate0_penalty_matches_bitwise_sc(seed, length):

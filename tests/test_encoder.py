@@ -84,6 +84,31 @@ def test_crc_remainder_matrix_consistent():
         assert (not synd.any()) == crc_check(block, CRC6, 6)
 
 
+@pytest.mark.parametrize("poly, p", [(CRC6, 6), (0b11, 1), (0x1021 | 1 << 16, 16), (0, 0)])
+@pytest.mark.parametrize("length", [1, 7, 86, 1030])
+def test_crc_float_products_equal_the_int64_reference(poly, p, length):
+    # crc_attach and crc_check multiply in float64; over random batches (all-ones rows
+    # included) they give the int64 product's bits and verdicts exactly, and p = 0 passes
+    # every block through unchanged.
+    rng = np.random.default_rng(length + p)
+    bits = rng.integers(0, 2, size=(5, 3, length), dtype=np.int8)
+    bits[0, 0] = 1
+    if p == 0:
+        assert np.array_equal(crc_attach(bits, poly, p), bits)
+        assert crc_check(bits, poly, p).all() and crc_check(bits, poly, p).shape == (5, 3)
+        return
+    attached = crc_attach(bits, poly, p)
+    m = crc_remainder_matrix(length + p, poly, p).astype(np.int64)
+    reference = bits.astype(np.int64) @ m[:length] % 2
+    assert attached.dtype == np.int8
+    assert attached.tobytes() == np.concatenate([bits, reference.astype(np.int8)], -1).tobytes()
+    corrupted = attached.copy()
+    corrupted[1] ^= rng.integers(0, 2, size=corrupted[1].shape, dtype=np.int8)
+    for block in (attached, corrupted):
+        expected = ~(block.astype(np.int64) @ m % 2).any(axis=-1)
+        assert np.array_equal(crc_check(block, poly, p), expected)
+
+
 # --- Polar transforms ----------------------------------------------------------
 
 def test_polar_transform_zero():
