@@ -5,7 +5,9 @@ construction and spectrum run.  It forms each frame's bit LLRs lambda =
 ln W(y | 0) - ln W(y | 1) = 2*h*y/sigma^2 in place, with perfect channel
 state h, and sums the r repeats of each outer-code position: a baseline
 bit's LLRs by :func:`hybridpolar.decoder.combine_baseline`, a hybrid
-symbol's by :func:`hybridpolar.decoder.combine_keyed`.  A hybrid symbol s
+symbol's by :func:`hybridpolar.decoder.combine_keyed`, one bincount over
+bit keys built once for pinned coefficients, else per frame by one row
+take.  A hybrid symbol s
 has the LLR S[s] = ln W(y | 0) - ln W(y | s), the sum of lambda over the
 bits where s has a 1, so S[0] = 0 and the likeliest symbol attains the
 minimum; these 2^t vectors are formed only after the repeats are summed,
@@ -206,7 +208,11 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
     try:
         if hybrid:
             rho = _encoder.block_coefficients(coefficients, spec.r, n2, q)   # (frames or 1, r, n2)
-            keys = rho + q * np.arange(n2)   # the combine keys i*q + rho
+            keys = rho + q * np.arange(n2)   # symbol keys i*q + rho
+            # Row i*q + rho holds the combine's bit keys (i*q + rho)*t + b in bit-LLR order.
+            bit_keys = np.arange(n2 * q * spec.t).reshape(-1, spec.t)
+            if pinned is not None:   # one array serves every frame
+                frame_keys = np.take(bit_keys, keys[0], axis=0).reshape(spec.r, -1)
         outer = q * _encoder.encode_u_vector(u, spec)   # c*q: row c*q + rho holds rho * c
         samples = _bpsk_table(spec.t, spec.primitive_poly)
         out = np.empty((len(rngs), n2, q) if hybrid else (len(rngs), spec.n))
@@ -224,7 +230,9 @@ def transmit_frames(spec: "CodeSpec", cfg: ChannelConfig, u: np.ndarray, rngs,
             _receive(x, h, cfg, y)
             blocks = y.reshape(np.shape(h)[:-1] + (-1,))
             blocks *= 2.0 / cfg.sigma2 * h   # (2/sigma^2 * h) * y, as initial_llrs rounds it
-            out[row] = (_decoder.combine_keyed(y, keys[row % len(keys)], tables) if hybrid
+            if hybrid and pinned is None:
+                frame_keys = np.take(bit_keys, keys[row], axis=0).reshape(spec.r, -1)
+            out[row] = (_decoder.combine_keyed(y, frame_keys, tables) if hybrid
                         else _decoder.combine_baseline(y, spec.r))
             if slot:
                 free.put(slot)

@@ -227,7 +227,18 @@ def cmd_construct(args) -> int:
     _decoder.frame_path_entries(cfg.code, cfg.list_size)
     for ebn0 in cfg.ebn0_list:
         _channel.ChannelConfig(cfg.channel, ebn0, cfg.code.rate, cfg.fading_blocks)
-    spec = _codespec.construct_code(cfg.code, trials=args.trials, seed=cfg.seed)
+    if not args.counts:
+        spec = _codespec.construct_code(cfg.code, trials=args.trials, seed=cfg.seed)
+    else:
+        counts = _codespec.first_error_counts(cfg.code, args.trials, cfg.seed)
+        spec = _codespec.freeze_highest(cfg.code, counts)
+        frozen = spec.frozen_mask()
+        with open(args.counts, "w") as fh:
+            fh.write("position,first_errors,frozen\n")
+            fh.writelines(f"{i},{c},{int(f)}\n" for i, (c, f) in enumerate(zip(counts, frozen)))
+        if frozen.any() and not frozen.all():   # ties at the boundary freeze the lower index
+            print(f"freeze boundary: lowest frozen count {counts[frozen].min()}, "
+                  f"highest unfrozen count {counts[~frozen].max()}")
     save_spec(spec, args.output)
     print(f"wrote {args.output} (|F| = {len(spec.frozen_set)})")
     return 0
@@ -318,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("-o", "--output", required=True, help="spec file to write")
     p.add_argument("--trials", type=int, default=_codespec.DEFAULT_CONSTRUCTION_TRIALS)
+    p.add_argument("--counts", help="CSV of each position's first-error count and frozen flag")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("simulate", help="run an FER sweep")

@@ -167,21 +167,26 @@ def first_error_counts(params: CodeSpec, trials: int, seed: int) -> np.ndarray:
     return counts
 
 
+def freeze_highest(params: CodeSpec, counts: np.ndarray) -> CodeSpec:
+    """A copy of ``params`` freezing the n-k-p positions with the highest ``counts``.
+
+    Equal counts freeze the lower index first.
+    """
+    order = np.lexsort((np.arange(params.n), -np.asarray(counts)))
+    frozen = tuple(sorted(int(i) for i in order[:params.n - params.k - params.p]))
+    return dataclasses.replace(params, frozen_set=frozen)
+
+
 def construct_code(params: CodeSpec, trials: int = DEFAULT_CONSTRUCTION_TRIALS,
                    seed: int = 0) -> CodeSpec:
     """A copy of ``params`` whose frozen set is ranked at the design SNR.
 
-    ``params.frozen_set`` is ignored during the ranking.  The n-k-p
-    positions with the highest first-error counts are frozen; equal
-    counts freeze the lower index first.
+    ``params.frozen_set`` is ignored during the ranking; :func:`freeze_highest`
+    freezes by the first-error counts.  A code with nothing to freeze runs no trial.
     """
-    n_frozen = params.n - params.k - params.p
-    frozen = ()
-    if n_frozen:
-        counts = first_error_counts(params, trials, seed)
-        order = np.lexsort((np.arange(params.n), -counts))
-        frozen = tuple(sorted(int(i) for i in order[:n_frozen]))
-    return dataclasses.replace(params, frozen_set=frozen)
+    if params.n == params.k + params.p:
+        return dataclasses.replace(params, frozen_set=())
+    return freeze_highest(params, first_error_counts(params, trials, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Of a hybrid frame's four parts, the pipeline runs the first:
 
 1. the r observations of each outer symbol combine straight from
    the bit LLRs: those of the repeats that share a coefficient rho are
-   added, and one product with a table of the bits of rho * v gives
-   the symbol LLR vector, so no 2^t vector is formed per repeat;
+   added, by one bincount over bit keys, and one product with a table of
+   the bits of rho * v gives the symbol LLR vector, so no 2^t vector is
+   formed per repeat;
 2. Stage 2 runs successive cancellation over the symbol-level Arikan
    kernel, propagating whole LLR vectors through min-sum check and
    variable updates (:func:`stage2_plus`, a min-plus run symbol-major,
@@ -32,7 +33,8 @@ Of a hybrid frame's four parts, the pipeline runs the first:
 One recursion, :func:`_span`, serves both schemes: the baseline polar-repetition
 scheme swaps in scalar LLRs and binary kernels (min-sum f/g, one-bit leaf, rate-0 penalty),
 and the same :func:`_symbol_node` lists its spans with no frozen bit over bit LLRs.
-A genie pass corrects every decision, so it always goes bit by bit.
+A genie pass corrects every decision, so it always goes bit by bit, in frame blocks of at
+most :data:`GENIE_BLOCK_ENTRIES` root LLRs, and stops a block once each of its trials has erred.
 
 Everything here is vectorised across list paths and across a batch of
 independent frames: one decoder invocation carries arrays shaped
@@ -84,6 +86,7 @@ def combine_repetitions(bit_llrs: np.ndarray, coefficients: np.ndarray,
         raise ValueError(f"bit LLR shape {np.shape(bit_llrs)} is not {lead + (r * n2 * t,)}")
     keys = block_coefficients(coefficients, r, n2, q)
     keys += q * np.arange(keys.size // r).reshape(lead + (1, n2))   # (frame*n2 + i)*q + rho
+    keys = (keys[..., None] * t + np.arange(t)).reshape(lead + (r, n2 * t))
     return combine_keyed(bit_llrs, keys, tables).reshape(lead + (n2, q))
 
 
@@ -94,18 +97,16 @@ def combine_baseline(bit_llrs: np.ndarray, r: int) -> np.ndarray:
 
 
 def combine_keyed(bit_llrs: np.ndarray, keys: np.ndarray, tables: FieldTables) -> np.ndarray:
-    """Combined (symbols, 2^t) symbol LLRs from bit LLRs and prebuilt, unchecked keys.
+    """Combined (symbols, 2^t) symbol LLRs from bit LLRs and prebuilt, unchecked bit keys.
 
-    ``keys`` (..., r, n2) holds symbol*q + rho per t-bit group, symbols counted over all axes
-    (block 0 has rho = 1).  Repeat j of symbol i scores v by sum_b bit_b(rho_j * v) *
-    lambda_{j,b}.  The bit-b LLRs of the repeats sharing a key are summed first, by one
-    bincount per bit, then one product with the bits of rho * v.
+    ``keys`` (..., r, n2*t) holds (symbol*q + rho)*t + b in bit-LLR order, symbols counted
+    over all axes (block 0 has rho = 1).  Repeat j of symbol i scores v by sum_b
+    bit_b(rho_j * v) * lambda_{j,b}.  The LLRs of the repeats sharing a bit key are summed
+    first, in repeat order, by one bincount, then one product with the bits of rho * v.
     """
     t, q = tables.t, tables.q
-    lam = np.asarray(bit_llrs, dtype=np.float64).reshape(-1, t)
-    sums = np.empty((keys.size // keys.shape[-2] * q, t))
-    for b in range(t):
-        sums[:, b] = np.bincount(keys.ravel(), weights=lam[:, b], minlength=len(sums))
+    sums = np.bincount(keys.ravel(), weights=np.asarray(bit_llrs, dtype=np.float64).ravel(),
+                       minlength=keys.size // keys.shape[-2] * q)
     return sums.reshape(-1, q * t) @ _repetition_bit_table(t, tables.primitive_poly)
 
 
@@ -308,13 +309,9 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
     all-frozen span, and ``node(state, s, first)``, if not None, decides a span with no frozen
     bit in one step or returns None to recurse bit by bit.  Returns the re-encoding.
     """
-    genie = state.genie_u is not None
-    erred = genie and (state.first_error >= 0).all()
-    if erred or state.leaf_frozen[first:first + s.shape[2]].all():
-        # Rate 0: every decision is 0.  Once every genie trial has erred, no
-        # later decision can move first_error; a genie pass keeps no metric.
-        if not genie:
-            state.pm += rate0(s)
+    genie = state.genie_u is not None   # a genie pass freezes nothing and keeps no metric
+    if state.leaf_frozen[first:first + s.shape[2]].all():   # rate 0: every decision is 0
+        state.pm += rate0(s)
         return np.zeros(s.shape[:3], dtype=np.int8)
     half = s.shape[2] // 2
     if half == 0:
@@ -334,8 +331,12 @@ def _span(state: _PathState, s: np.ndarray, plus, minus, leaf, rate0, node,
         x_left = _span(state, plus(s[:, :, :half], s[:, :, half:]), plus, minus, leaf, rate0,
                        node, first)
         origin = state.origin_since(epoch)   # minus reads these paths of s: no gathered copy
+        # Once every genie trial has erred, no later decision can move first_error:
+        # the right child is skipped and decodes to zero.
+        if genie and (state.first_error >= 0).all():
+            return np.concatenate([x_left, np.zeros_like(x_left)], axis=2)
     s_right = minus(s[:, :, :half], s[:, :, half:], x_left, origin)
-    if left_frozen and not genie:   # the span's rate-0 penalty less the right child's
+    if left_frozen:   # the span's rate-0 penalty less the right child's
         state.pm += rate0(s) - rate0(s_right)
     epoch = len(state.trace)
     x_right = _span(state, s_right, plus, minus, leaf, rate0, node, first + half)
@@ -498,6 +499,7 @@ def _finalize(spec: "CodeSpec", state: _PathState, crc_on: bool, return_paths: b
 
 
 MAX_PATH_ENTRIES = 1 << 24   # most LLRs in one frame's widest path array, the full-width root span
+GENIE_BLOCK_ENTRIES = 1 << 17   # root LLRs per genie block: 1 MiB of float64, half a 2 MiB L2
 
 
 def frame_path_entries(spec: "CodeSpec", list_size: int) -> int:
@@ -519,11 +521,13 @@ def frame_batch(spec: "CodeSpec", list_size: int, pinned: bool) -> int:
     """Frames per batch of every frame loop, about 4e6 array entries; no output depends on it.
 
     A frame's decode holds under twice :func:`frame_path_entries`; before it, the channel of
-    an unpinned hybrid frame holds its int64 (r-1, n/t) multipliers and (r, n/t) rho and keys.
+    an unpinned hybrid frame holds its int64 (r-1, n/t) multipliers and (r, n/t) rho and symbol
+    keys, and its combine takes N = r*n int64 bit keys (t times its symbol keys, one frame's
+    at a time, counted for every frame).
     """
     entries = 2 * frame_path_entries(spec, list_size)
     if spec.scheme == "hybrid" and not pinned:
-        entries = max(entries, (3 * spec.r - 1) * (spec.n // spec.t))
+        entries = max(entries, (3 * spec.r - 1) * (spec.n // spec.t) + spec.N)
     return int(np.clip(4_000_000 // entries, 1, 2048))
 
 
@@ -560,6 +564,11 @@ def genie_first_errors(spec: "CodeSpec", channel_input, true_u: np.ndarray) -> n
     All n positions are treated as unfrozen while ranking.
     """
     true_u = np.asarray(true_u, dtype=np.int8)
-    state = _PathState(true_u.shape[0], spec.n, 1, np.zeros(spec.n, dtype=bool), genie_u=true_u)
-    _decode(spec, state, channel_input)
-    return state.first_error
+    first_error = np.empty(len(true_u), dtype=np.int64)
+    step = max(1, GENIE_BLOCK_ENTRIES // max(1, int(np.prod(np.shape(channel_input)[1:]))))
+    for lo in range(0, len(true_u), step):
+        block = true_u[lo:lo + step]
+        state = _PathState(len(block), spec.n, 1, np.zeros(spec.n, dtype=bool), genie_u=block)
+        _decode(spec, state, channel_input[lo:lo + step])
+        first_error[lo:lo + step] = state.first_error
+    return first_error

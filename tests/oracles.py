@@ -17,7 +17,9 @@ codeword of a span with no frozen bit for every incoming path; the decoder
 forks only the least reliable symbols of such a span instead.  The
 symbol-domain repetition combine expands every repeat to a 2^t LLR
 vector and adds the de-permuted vectors; the decoder replaces it with
-per-coefficient sums of bit LLRs and one table product.  The exhaustive
+per-coefficient sums of bit LLRs and one table product; the per-bit
+combine sums those bit LLRs by one bincount per bit over symbol keys, where
+the decoder makes one bincount over bit keys.  The exhaustive
 weight enumerator is the one-codeword-at-a-time loop over full
 re-encodings that the analysis module replaces with a batched outer
 encode and a per-symbol weight table.  The field product by the log/antilog
@@ -30,7 +32,7 @@ import math
 
 import numpy as np
 
-from hybridpolar.decoder import _stage1_bit, _stage1_min_tree
+from hybridpolar.decoder import _repetition_bit_table, _stage1_bit, _stage1_min_tree
 from hybridpolar.encoder import encode_u_vector, multiplicative_repeat, stage1_block_map
 from hybridpolar.galois import unpack_symbol_array
 
@@ -395,6 +397,16 @@ def permute_and_add(s_in: np.ndarray, coefficients: np.ndarray, tables) -> np.nd
     view += q * np.arange(n2)[:, None]
     rest = np.take(blocks, idx)
     return blocks[..., 0, :, :] + rest.sum(axis=-3)
+
+
+def combine_keyed_per_bit(bit_llrs: np.ndarray, keys: np.ndarray, tables) -> np.ndarray:
+    """The combine over (..., r, n2) symbol keys symbol*q + rho: one bincount per bit."""
+    t, q = tables.t, tables.q
+    lam = np.asarray(bit_llrs, dtype=np.float64).reshape(-1, t)
+    sums = np.empty((keys.size // keys.shape[-2] * q, t))
+    for b in range(t):
+        sums[:, b] = np.bincount(keys.ravel(), weights=lam[:, b], minlength=len(sums))
+    return sums.reshape(-1, q * t) @ _repetition_bit_table(t, tables.primitive_poly)
 
 
 # --- Exhaustive list extension through a span with no frozen bit -------------

@@ -189,6 +189,27 @@ def test_construct_writes_spec_and_is_deterministic(tmp_path):
     assert len(spec.frozen_set) == 10
 
 
+def test_construct_counts_csv_leaves_the_frozen_set_unchanged(tmp_path, capsys):
+    # --counts writes each position's first-error count and frozen flag and prints the
+    # counts either side of the freeze boundary; the spec is byte-identical without it.
+    cfg_path = write_config(tmp_path)
+    plain, counted, csv_path = tmp_path / "a.spec", tmp_path / "b.spec", tmp_path / "c.csv"
+    assert cli.main(["construct", str(cfg_path), "-o", str(plain), "--trials", "50"]) == 0
+    capsys.readouterr()
+    assert cli.main(["construct", str(cfg_path), "-o", str(counted), "--trials", "50",
+                     "--counts", str(csv_path)]) == 0
+    assert counted.read_bytes() == plain.read_bytes()
+    spec = load_spec(counted)
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "position,first_errors,frozen" and len(rows) == spec.n + 1
+    table = np.array([[int(v) for v in row.split(",")] for row in rows[1:]])
+    assert np.array_equal(table[:, 0], np.arange(spec.n))
+    assert np.array_equal(table[:, 2], spec.frozen_mask())
+    assert 0 < table[:, 1].sum() <= 50
+    low, high = table[table[:, 2] == 1, 1].min(), table[table[:, 2] == 0, 1].max()
+    assert f"lowest frozen count {low}, highest unfrozen count {high}" in capsys.readouterr().out
+
+
 def test_construct_full_rate_empty_frozen(tmp_path):
     text = edit_config(BASE_CONFIG, k=16, crc_len=0)
     cfg_path = write_config(tmp_path, text)

@@ -208,6 +208,32 @@ def test_combine_matches_permute_and_add(seed, t, r, n2, frames, pinned, integer
                                    atol=1e-12 * r * t * np.abs(lam).max())
 
 
+@pytest.mark.parametrize("t", [1, 2, 4])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_bit_key_combine_equals_the_per_bit_oracle(t, pinned):
+    # One bincount over bit keys (symbol*q + rho)*t + b adds each key's repeats in the
+    # order of the per-bit bincounts over symbol keys, so the bytes are equal.  Keys are
+    # built as the frame pipeline builds them: pinned ones once, others per frame by a
+    # row take; blocks 1 and 2 share their coefficients, so keys repeat.
+    gf, q, r, n2, frames = build_field(t), 1 << t, 5, 8, 3
+    rng = np.random.default_rng(60 + 2 * t + pinned)
+    lam = rng.normal(0.0, 5.0, size=(frames, r * n2 * t))
+    coeffs = rng.integers(1, q, size=(frames, r - 1, n2))
+    coeffs[:, 1] = coeffs[:, 0]
+    if pinned:
+        coeffs = np.broadcast_to(coeffs[0], coeffs.shape)
+    sym_keys = enc.block_coefficients(coeffs, r, n2, q) + q * np.arange(n2)
+    bit_table = np.arange(n2 * q * t).reshape(-1, t)
+    for f in range(frames):
+        got = decoder.combine_keyed(lam[f], np.take(bit_table, sym_keys[f], axis=0)
+                                    .reshape(r, -1), gf)
+        assert got.tobytes() == oracles.combine_keyed_per_bit(lam[f], sym_keys[f], gf).tobytes()
+    batch_keys = sym_keys + q * n2 * np.arange(frames)[:, None, None]   # symbols of all frames
+    got = decoder.combine_keyed(lam, (batch_keys[..., None] * t + np.arange(t))
+                                .reshape(frames, r, -1), gf)
+    assert got.tobytes() == oracles.combine_keyed_per_bit(lam, batch_keys, gf).tobytes()
+
+
 # --- Stage-2 updates -----------------------------------------------------------
 
 def test_stage2_zero_vectors_give_zero():
@@ -1090,6 +1116,42 @@ def test_genie_stops_once_every_trial_has_erred(monkeypatch, scheme, t, kernel):
     assert np.array_equal(padded[:-1], alone)
     assert len(calls) - alone_calls == spec.n // t - 1     # every node of the tree
     assert alone_calls < spec.n // t - 1
+
+
+@pytest.mark.parametrize("scheme,t", [("hybrid", 1), ("hybrid", 2), ("hybrid", 4),
+                                      ("polar_repetition", 1)])
+def test_genie_blocks_match_the_full_recursion(monkeypatch, scheme, t):
+    # Blocks of four trials: clean and noisy ones mixed, then all noisy, then mixed, then
+    # two noisy.  Each block decoded alone with one clean trial appended runs the whole
+    # recursion; the blocked pass must count the same first errors, and no variable
+    # update may run once every trial of its block has erred.
+    spec = spec_for(scheme=scheme, n=64, k=32, t=t, r=2)
+    rng = np.random.default_rng(31 + t)
+    kinds = "ncnc" "nnnn" "cnnn" "nn"
+    noisy = random_decoder_input(spec, rng, frames=len(kinds))
+    clean = np.abs(random_decoder_input(spec, rng, frames=len(kinds)))   # all-zero decodes
+    mask = np.array([k == "c" for k in kinds]).reshape((-1,) + (1,) * (noisy.ndim - 1))
+    x = np.where(mask, clean, noisy)
+    truth = rng.integers(0, 2, size=(len(kinds), spec.n), dtype=np.int8)
+    truth[[k == "c" for k in kinds]] = 0
+    full = np.concatenate([
+        genie_first_errors(spec, np.concatenate([x[lo:lo + 4], clean[:1]]),
+                           np.concatenate([truth[lo:lo + 4], np.zeros((1, spec.n), np.int8)]))[:-1]
+        for lo in range(0, len(kinds), 4)])
+
+    states, erred_at_minus = [], []
+    span, name = decoder._span, "stage2_minus" if scheme == "hybrid" else "_g_bin"
+    minus = getattr(decoder, name)
+    monkeypatch.setattr(decoder, "_span", lambda state, *a: states.append(state) or span(state, *a))
+    monkeypatch.setattr(decoder, name, lambda *a: erred_at_minus.append(
+        bool((states[-1].first_error >= 0).all())) or minus(*a))
+    root = x[0].size
+    monkeypatch.setattr(decoder, "GENIE_BLOCK_ENTRIES", 4 * root + root // 2)
+    blocked = genie_first_errors(spec, x, truth)
+    assert len({id(state) for state in states}) == 4
+    assert np.array_equal(blocked, full)
+    assert (blocked[4:8] >= 0).all() and (blocked[[k == "c" for k in kinds]] == -1).all()
+    assert erred_at_minus and not any(erred_at_minus)
 
 
 def test_batch_and_single_frame_agree():
